@@ -10,8 +10,10 @@ the total is an integer, recovered with an explicit rounding check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +116,26 @@ def class_members(d: int, h: tuple[int, ...], w: tuple[int, ...]) -> list[tuple[
     return seen
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_classes(
+    d: int, n: int, h: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """Every shift class as (canonical representative, members), sorted by
+    representative.  Depends on (d, n, h) only, so it is built once.
+
+    Weight vectors arrive in lexicographic order, so the first vector seen
+    from a class is its minimum; members are listed from that minimum.
+    """
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for w in _weight_vectors(d, n):
+        if w not in seen:
+            members = tuple(class_members(d, h, w))
+            seen.update(members)
+            classes.append((w, members))
+    return tuple(classes)
+
+
 def canonical_class_rep(d: int, h: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
     return min(class_members(d, h, w))
 
@@ -140,15 +162,81 @@ def enumerate_orbit_classes(d: int, n: int, h: tuple[int, ...]) -> list[OrbitCla
     """
     if len(set(h)) != 1:
         raise BadParamsError("permutation orbits need a constant weight vector")
-    class_reps = {canonical_class_rep(d, h, w) for w in _weight_vectors(d, n)}
     orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for rep in class_reps:
-        key = min(tuple(sorted(v)) for v in class_members(d, h, rep))
+    for rep, members in _shift_classes(d, n, h):
+        key = min(tuple(sorted(v)) for v in members)
         orbits.setdefault(key, []).append(rep)
     return [
         OrbitClass(rep=key, size=len(members), classes=tuple(sorted(members)))
         for key, members in sorted(orbits.items())
     ]
+
+
+class _ClassPlan:
+    """The lambda-independent parts of the Koblitz sum for one (field, d, h).
+
+    Holds the Gauss rows g(omega**(w t + h_i j)) for every (w, h_i), the
+    denominator row g(omega**(d j)), and, once koblitz_total asks for them,
+    each shift class's summed Weil terms: d * len(set(h)) + 1 rows of q - 1
+    values.  The per-class numerators are rebuilt for every fibre, never
+    stored: one row per shift class (1296 for the sextic) would cost far
+    more memory than the rows above.
+    """
+
+    def __init__(self, field: FqField, d: int, h: tuple[int, ...]):
+        q1, t = field.q1, field.q1 // d
+        g = field.gauss_table
+        self.d, self.h = d, h
+        self.classes = _shift_classes(d, len(h), h)
+        self.reps = [rep for rep, _ in self.classes]
+        self.j = np.arange(q1, dtype=np.int64)
+        self.rows = {(wi, hi): g[(wi * t + hi * self.j) % q1] for wi in range(d) for hi in set(h)}
+        self.den = g[(d * self.j) % q1]
+        self._weil_sums: list[complex] | None = None
+
+    def weil_sums(self, field: FqField) -> list[complex]:
+        """Summed Weil terms of each class, in class order."""
+        if self._weil_sums is None:
+            self._weil_sums = [_weil_sum(field, self.d, members) for _, members in self.classes]
+        return self._weil_sums
+
+    def twist(self, params: "DiagonalParams") -> np.ndarray:
+        """omega**(d j)(d lam) for every j: the factor that carries lambda."""
+        field = params.field
+        dlam = field.elem(self.d) * params.lam
+        return field.unit_roots[(self.d * self.j * dlam.exp) % field.q1]
+
+    def gauss_averages(self, ws, tw: np.ndarray) -> Iterator[complex]:
+        """The Gauss average of each weight vector in ws, in order.
+
+        Each numerator is the left-to-right product of its Gauss rows,
+        starting from ones; the factors a vector shares as a prefix with
+        the one before are reused, which leaves every product unchanged.
+        """
+        q1 = len(self.j)
+        partial = [np.ones(q1, dtype=np.complex128)]
+        prev: tuple[int, ...] = ()
+        for w in ws:
+            k = 0
+            while k < len(prev) and w[k] == prev[k]:
+                k += 1
+            del partial[k + 1 :]
+            for wi, hi in zip(w[k:], self.h[k:]):
+                partial.append(partial[-1] * self.rows[wi % self.d, hi])
+            prev = w
+            yield complex(np.add.reduce(partial[-1] / self.den * tw) / q1)
+
+
+def _class_plan(params: DiagonalParams) -> _ClassPlan:
+    field, d, h = params.field, params.d, params.h
+    return field.plan(("koblitz", d, h), lambda: _ClassPlan(field, d, h))
+
+
+def _weil_sum(field: FqField, d: int, members) -> complex:
+    total = 0j
+    for v in members:
+        total += weil_point_count(field, d, len(v), v)
+    return total
 
 
 def class_gauss_average(
@@ -163,44 +251,29 @@ def class_gauss_average(
     the same value, since shifting w by h reindexes j.  With check_members
     the value is recomputed from every member and agreement is asserted.
     """
+    plan = _class_plan(params)
+    tw = plan.twist(params)
     if check_members:
-        values = [_member_gauss_average(params, v) for v in class_members(params.d, params.h, w)]
+        values = list(plan.gauss_averages(class_members(params.d, params.h, w), tw))
         assert max(abs(v - values[0]) for v in values) < 1e-9 * params.field.q ** (params.n / 2)
         return values[0]
-    return _member_gauss_average(params, w)
-
-
-def _member_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
-    field, d, h = params.field, params.d, params.h
-    q1, t = field.q1, params.t
-    j = np.arange(q1, dtype=np.int64)
-    g = field.gauss_table
-    num = np.ones(q1, dtype=np.complex128)
-    for wi, hi in zip(w, h):
-        num = num * g[(wi * t + hi * j) % q1]
-    dlam = field.elem(d) * params.lam
-    tw = field.unit_roots[(d * j * dlam.exp) % q1]
-    return complex(np.sum(num / g[(d * j) % q1] * tw) / q1)
+    return next(plan.gauss_averages([w], tw))
 
 
 def class_contribution(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     """Diagonal terms of every member of [w] plus the class Gauss average."""
-    field, d = params.field, params.d
-    n = params.n
-    total = 0j
-    for v in class_members(d, params.h, w):
-        total += weil_point_count(field, d, n, v)
-    return total + class_gauss_average(params, w)
+    members = class_members(params.d, params.h, w)
+    return _weil_sum(params.field, params.d, members) + class_gauss_average(params, w)
 
 
 def koblitz_total(params: DiagonalParams) -> complex:
     """The projective point count of the deformed diagonal hypersurface,
     summed class by class, before integer rounding."""
-    d, h = params.d, params.h
-    reps = {canonical_class_rep(d, h, w) for w in _weight_vectors(d, params.n)}
+    plan = _class_plan(params)
+    averages = plan.gauss_averages(plan.reps, plan.twist(params))
     total = 0j
-    for rep in sorted(reps):
-        total += class_contribution(params, rep)
+    for weil, average in zip(plan.weil_sums(params.field), averages):
+        total += weil + average
     return total
 
 

@@ -113,6 +113,26 @@ def dwork5_greene_count(params: DworkParams, *, tol: float = 1e-3) -> int:
     return value
 
 
+def sextic_jacobi_sums(field: FqField) -> tuple[complex, ...]:
+    """The five lambda-independent Jacobi sums of the degree-6 closed form,
+    computed once per field: J(w6, w3, w2), J(w2, conj w3, conj w6),
+    J(w6, w6, conj w3), J(w3, w3, w3) and J(w6, w6)."""
+
+    def build():
+        t = field.q1 // 6
+        w6, w3, w2 = MultChar(field, t), MultChar(field, 2 * t), MultChar(field, 3 * t)
+        w3b, w6b = w3.conj(), w6.conj()
+        return (
+            jacobi((w6, w3, w2)),
+            jacobi((w2, w3b, w6b)),
+            jacobi((w6, w6, w3b)),
+            jacobi((w3, w3, w3)),
+            jacobi((w6, w6)),
+        )
+
+    return field.plan(("sextic-jacobi",), build)
+
+
 def dwork6_greene_total(params: DworkParams) -> complex:
     """Fifteen-term closed form for degree 6, before rounding."""
     if params.degree != 6:
@@ -123,8 +143,7 @@ def dwork6_greene_total(params: DworkParams) -> complex:
     w3b, w6b = w3.conj(), w6.conj()
     x = (params.lam**6).inverse()
     s6 = char_at_minus_one(field, t)
-    j632 = jacobi((w6, w3, w2))
-    j236 = jacobi((w2, w3b, w6b))
+    j632, j236, j663b, j333, j66 = sextic_jacobi_sums(field)
     total = (q**5 - 1) // (q - 1) + 0j
     total += 360 * q**2 * w2(field.one - params.lam**6)
     total += q**4 * _greene(field, (w6, w3, w2, w3b, w6b), (eps,) * 4, x)
@@ -132,10 +151,10 @@ def dwork6_greene_total(params: DworkParams) -> complex:
     total += 30 * q**3 * _greene(field, (w6, w2, w6b), (eps, eps), x)
     total += -15 * q**3 * s6 * j236 * _greene(field, (w6, w6b, w3b, w3), (eps, eps, w2), x)
     total += -20 * q**3 * s6 * j632 * _greene(field, (w6, w2, w3b, w6b), (eps, w3, w3), x)
-    total += 60 * q**2 * s6 * jacobi((w6, w6, w3b)) * j236 * _greene(field, (w6, w3b, w2), (eps, w6b), x)
-    total += 60 * q**2 * jacobi((w3, w3, w3)) * j236 * _greene(field, (w3, w6b, w2), (eps, w6), x)
+    total += 60 * q**2 * s6 * j663b * j236 * _greene(field, (w6, w3b, w2), (eps, w6b), x)
+    total += 60 * q**2 * j333 * j236 * _greene(field, (w3, w6b, w2), (eps, w6), x)
     total += 90 * q**3 * _greene(field, (w2, w3b, w6b), (w6, w3), x)
-    total += -30 * q**2 * jacobi((w6, w6)) * j632 * _greene(field, (w6, w2, w6b), (w3, w3b), x)
+    total += -30 * q**2 * j66 * j632 * _greene(field, (w6, w2, w6b), (w3, w3b), x)
     total += -120 * q**2 * j632 * _greene(field, (w6, w3), (eps,), x)
     total += -120 * q**2 * j236 * _greene(field, (w3b, w6b), (eps,), x)
     total += -180 * q**2 * j632 * _greene(field, (w3, w3b), (w2,), x)
@@ -357,18 +376,29 @@ def miyatani_preflight(field: FqField) -> MiyataniPreflight:
     )
 
 
+def _miyatani_plan(field: FqField) -> tuple[MiyataniPreflight, list[KernelElement]]:
+    """The preflight report and, when it passes, the kernel: both depend on
+    q only, so each field builds them once."""
+
+    def build():
+        report = miyatani_preflight(field)
+        return report, enumerate_kernel(field) if report.ok else []
+
+    return field.plan(("miyatani",), build)
+
+
 def miyatani_dwork6_total(params: DworkParams) -> complex:
     """Kernel-route count: (q**5 - 1)/(q - 1) minus the sum of gamma(s) F(s)
     over all 6**4 kernel classes, before rounding."""
     if params.degree != 6:
         raise BadDegreeError("the kernel route covers degree 6 only")
     field = params.field
-    report = miyatani_preflight(field)
+    report, kernel = _miyatani_plan(field)
     if not report.ok:
         raise PreconditionError(f"kernel-route preconditions failed: {report}")
     cache: dict[tuple[int, ...], complex] = {}
     total = 0j
-    for elem in enumerate_kernel(field):
+    for elem in kernel:
         key = tuple(sorted(elem.s))
         val = cache.get(key)
         if val is None:

@@ -194,6 +194,7 @@ class FqField:
         self._build_analytic()
         self._char_vec_cache: dict[int, np.ndarray] = {}
         self._norm_jacobi_cache: dict[tuple[int, int], complex] = {}
+        self._plans: dict[tuple, object] = {}
 
     # -- construction -------------------------------------------------
 
@@ -314,6 +315,14 @@ class FqField:
         # omega**k(x) psi(x) is a length-(q-1) inverse DFT of psi(g**m).
         a = self.psi_table[self.exp_table]
         self.gauss_table = q1 * np.fft.ifft(a)
+
+    def plan(self, key: tuple, build):
+        """The lambda-independent plan stored under key, made by build() on
+        first use.  Plans live on the field and are freed with it."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build()
+        return plan
 
     # -- element constructors ----------------------------------------
 

@@ -24,7 +24,7 @@ from .characters import (
     trivial_char,
 )
 from .diagonal import DiagonalParams, class_contribution, enumerate_orbit_classes
-from .dwork import KernelElement, enumerate_kernel, gamma_s, miyatani_F_s
+from .dwork import KernelElement, enumerate_kernel, gamma_s, miyatani_F_s, sextic_jacobi_sums
 from .errors import BadModulusError
 from .field import FqElem, FqField
 from .hypergeometric import (
@@ -150,8 +150,7 @@ def orbit_closed_forms(field: FqField, lam: FqElem) -> tuple[dict[tuple[int, ...
     w6, w3, w2, w3b, w6b = _chars6(field)
     x = (lam**6).inverse()
     s6 = char_at_minus_one(field, t)
-    j632 = jacobi((w6, w3, w2))
-    j236 = jacobi((w2, w3b, w6b))
+    j632, j236, j663b, j333, j66 = sextic_jacobi_sums(field)
 
     def F(up, lo):
         return greene_F(GreeneParams(up, lo, x))
@@ -166,14 +165,14 @@ def orbit_closed_forms(field: FqField, lam: FqElem) -> tuple[dict[tuple[int, ...
         (0, 0, 0, 1, 2, 3): -(q**2) * j632 * F((w6, w3), (eps,)),
         (0, 0, 0, 3, 4, 5): -(q**2) * j236 * F((w3b, w6b), (eps,)),
         (0, 0, 1, 1, 2, 2): q**3 * F((w2, w3b, w6b), (w6, w3)),
-        (0, 0, 2, 2, 4, 4): -(q**2) * jacobi((w6, w6)) * j632 * F((w6, w2, w6b), (w3, w3b)),
+        (0, 0, 2, 2, 4, 4): -(q**2) * j66 * j632 * F((w6, w2, w6b), (w3, w3b)),
         (0, 0, 1, 3, 3, 5): -(q**2) * j632 * F((w3, w3b), (w2,)),
         (0, 0, 1, 3, 4, 4): -(q**2) * j632 * F((w3, w6b), (w3b,)),
         (0, 0, 1, 2, 4, 5): q**2 * w2(field.one - lam**6),
     }
-    pair = q**2 * s6 * jacobi((w6, w6, w3b)) * j236 * F((w6, w3b, w2), (eps, w6b)) + q**2 * jacobi(
-        (w3, w3, w3)
-    ) * j236 * F((w3, w6b, w2), (eps, w6))
+    pair = q**2 * s6 * j663b * j236 * F((w6, w3b, w2), (eps, w6b)) + q**2 * j333 * j236 * F(
+        (w3, w6b, w2), (eps, w6)
+    )
     return forms, pair
 
 

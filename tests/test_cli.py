@@ -1,12 +1,21 @@
 """Command-line behaviour: output schemas, exit codes, flag handling."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from dworkcount.cli import CSV_HEADER, main
+import dworkcount
+import dworkcount.diagonal as diagonal
+import dworkcount.dwork as dwork
+from dworkcount.cli import CSV_HEADER, main, run_count
+from dworkcount.field import FqField
+from dworkcount.verify import valid_lambdas
 
 
 def run_main(capsys, *argv):
@@ -150,12 +159,45 @@ def test_verify_subcommand(capsys):
 
 
 def test_console_module_entry():
+    # run from the directory holding the package under test, so the child
+    # imports the same package without PYTHONPATH
     result = subprocess.run(
         [sys.executable, "-m", "dworkcount.cli",
          "count", "--degree", "4", "--p", "13", "--lambda", "2",
          "--methods", "koblitz"],
         capture_output=True, text=True,
+        cwd=Path(dworkcount.__file__).resolve().parents[1],
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["counts"]["koblitz"] == 320
+
+
+def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(diagonal, "weil_point_count")
+    counted(dwork, "miyatani_preflight")
+    counted(dwork, "jacobi")
+    field = FqField(61)
+    lams = valid_lambdas(field, 6)
+    for lam in lams:
+        report = run_count(field, 6, lam, ["koblitz", "greene", "miyatani"], 1e-3)
+        assert report.consistent
+    assert len(lams) == 54
+    # one Weil term per weight vector and one preflight for the whole sweep
+    assert calls == {"weil_point_count": 6**5, "miyatani_preflight": 1, "jacobi": 5}
+
+    ref = weakref.ref(field)
+    del field, lams, lam
+    gc.collect()
+    assert ref() is None

@@ -1,6 +1,7 @@
 """Weil decomposition, shift classes, and the Gauss-sum route for diagonal
 hypersurfaces."""
 
+import numpy as np
 import pytest
 
 from dworkcount.brute import deformed_diagonal_polynomial, projective_count
@@ -23,6 +24,8 @@ from dworkcount.errors import (
     BadParamsError,
     BadWeightError,
 )
+from dworkcount.field import FqField
+from dworkcount.verify import valid_lambdas
 
 
 def test_weil_sum_matches_projective_line_fermat(f13):
@@ -199,3 +202,53 @@ def test_koblitz_total_is_nearly_real(f13):
     params = DiagonalParams(f13, 6, (1,) * 6, f13.elem(2))
     total = koblitz_total(params)
     assert abs(total.imag) < 1e-9
+
+
+def _reference_weil_sums(field, h, reps):
+    """Per-member Weil terms summed in member order, for each class."""
+    sums = {}
+    for rep in reps:
+        weil = 0j
+        for v in class_members(6, h, rep):
+            weil += weil_point_count(field, 6, len(h), v)
+        sums[rep] = weil
+    return sums
+
+
+def _reference_koblitz_total(params, reps, weil):
+    """The class-by-class sum written out directly: each class's Weil sum
+    plus a per-class numpy Gauss average, over reps in sorted order."""
+    field, d, h = params.field, params.d, params.h
+    q1, t = field.q1, params.t
+    j = np.arange(q1, dtype=np.int64)
+    g = field.gauss_table
+    dlam = field.elem(d) * params.lam
+    tw = field.unit_roots[(d * j * dlam.exp) % q1]
+    total = 0j
+    for rep in reps:
+        num = np.ones(q1, dtype=np.complex128)
+        for wi, hi in zip(rep, h):
+            num = num * g[(wi * t + hi * j) % q1]
+        total += weil[rep] + complex(np.sum(num / g[(d * j) % q1] * tw) / q1)
+    return total
+
+
+def test_koblitz_total_is_bit_identical_to_the_class_loop(f13):
+    # Near q = 2017 a sextic count lies in [2**43, 2**44), where one float
+    # ulp (2**-9) exceeds the rounding tolerance: any reordering of the sum
+    # can turn an accepted fibre into a refused one, so equality is exact.
+    f61, f2017 = FqField(61), FqField(2017)
+    groups = [
+        (f61, (1,) * 6, valid_lambdas(f61, 6)),
+        (f2017, (1,) * 6, [f2017.elem(1501), f2017.elem(5)]),
+        (f13, (1, 2, 3), [f13.elem(2), f13.elem(5)]),
+    ]
+    fibres = 0
+    for field, h, lams in groups:
+        reps = sorted({canonical_class_rep(6, h, w) for w in _weight_vectors(6, len(h))})
+        weil = _reference_weil_sums(field, h, reps)
+        for lam in lams:
+            params = DiagonalParams(field, 6, h, lam)
+            assert koblitz_total(params) == _reference_koblitz_total(params, reps, weil)
+            fibres += 1
+    assert fibres == 58

@@ -31,6 +31,8 @@ from dworkcount.errors import (
     BadModulusError,
     BadWeightError,
 )
+from dworkcount.field import FqField
+from dworkcount.verify import valid_lambdas
 
 
 def snf_divisors_via_minors(mat) -> tuple[int, ...]:
@@ -239,3 +241,26 @@ def test_miyatani_total_is_nearly_real(f13):
     total = miyatani_dwork6_total(params)
     assert abs(total.imag) < 1e-6
     assert abs(total.real - 9810) < 1e-6
+
+
+def _reference_miyatani_total(params):
+    """The kernel sum with a fresh preflight and kernel on every call."""
+    field = params.field
+    assert miyatani_preflight(field).ok
+    values = {}
+    total = 0j
+    for elem in enumerate_kernel(field):
+        key = tuple(sorted(elem.s))
+        if key not in values:
+            values[key] = gamma_s(field, elem) * miyatani_F_s(field, elem, params.lam)
+        total += values[key]
+    return (field.q**5 - 1) // (field.q - 1) - total
+
+
+def test_miyatani_total_is_bit_identical_to_a_fresh_preflight():
+    f61, f2017 = FqField(61), FqField(2017)
+    fibres = [(f61, lam) for lam in valid_lambdas(f61, 6)]
+    fibres += [(f2017, f2017.elem(1501)), (f2017, f2017.elem(5))]
+    for field, lam in fibres:
+        params = DworkParams(field, 6, lam)
+        assert miyatani_dwork6_total(params) == _reference_miyatani_total(params)
