@@ -18,24 +18,35 @@ from dataclasses import dataclass, field as dataclass_field
 from .brute import dwork_polynomial, projective_count
 from .characters import round_to_int
 from .diagonal import DiagonalParams, koblitz_total
-from .dwork import (
-    DworkParams,
-    dwork4_greene_total,
-    dwork5_greene_total,
-    dwork6_greene_total,
-    miyatani_dwork6_total,
-)
+from .dwork import CLOSED_FORMS, DworkParams, greene_total, miyatani_dwork6_total
 from .errors import CountingError, RoundingFailure
 from .field import FqElem, FqField
 from .verify import run_identity_suite, valid_lambdas
 
 BRUTE_SKIP_POINTS = 280_000_000
-METHOD_NAMES = ("brute", "koblitz", "greene", "miyatani")
-CSV_HEADER = (
-    "q,degree,lambda,"
-    "count_brute,count_koblitz,count_greene,count_miyatani,"
-    "res_koblitz,res_greene,res_miyatani,"
-    "ms_brute,ms_koblitz,ms_greene,ms_miyatani"
+
+# Every route: (degrees it covers, its total from the validated diagonal
+# parameters, or None for enumeration).  --methods, dispatch, rounding and
+# the CSV columns all read this table.  The lambdas look each total up by
+# name when called, so a wrapper bound to that module name sees every call.
+ROUTES = {
+    "brute": ((3, 4, 5, 6), None),
+    "koblitz": ((3, 4, 5, 6), lambda diag: koblitz_total(diag)),
+    "greene": (
+        tuple(CLOSED_FORMS),
+        lambda diag: greene_total(DworkParams(diag.field, diag.d, diag.lam)),
+    ),
+    "miyatani": (
+        (6,),
+        lambda diag: miyatani_dwork6_total(DworkParams(diag.field, diag.d, diag.lam)),
+    ),
+}
+ROUNDED = [name for name, (_, total) in ROUTES.items() if total is not None]
+CSV_HEADER = ",".join(
+    ["q", "degree", "lambda"]
+    + [f"count_{m}" for m in ROUTES]
+    + [f"res_{m}" for m in ROUNDED]
+    + [f"ms_{m}" for m in ROUTES]
 )
 
 
@@ -70,12 +81,9 @@ class CountReport:
     def to_csv_row(self) -> str:
         lam = "+".join(map(str, self.lam)) if isinstance(self.lam, list) else str(self.lam)
         cells = [str(self.q), str(self.degree), lam]
-        cells += [str(self.counts.get(m, "")) for m in METHOD_NAMES]
-        cells += [
-            "" if m not in self.residuals else f"{self.residuals[m]:.3e}"
-            for m in METHOD_NAMES[1:]
-        ]
-        cells += ["" if m not in self.ms else f"{self.ms[m]:.3f}" for m in METHOD_NAMES]
+        cells += [str(self.counts.get(m, "")) for m in ROUTES]
+        cells += ["" if m not in self.residuals else f"{self.residuals[m]:.3e}" for m in ROUNDED]
+        cells += ["" if m not in self.ms else f"{self.ms[m]:.3f}" for m in ROUTES]
         return ",".join(cells)
 
 
@@ -101,22 +109,16 @@ def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol:
     diag = DiagonalParams(field, degree, (1,) * degree, lam)
     for method in methods:
         start = time.perf_counter()
-        if method == "brute":
+        total = ROUTES[method][1]
+        if total is None:
             if field.q ** (degree - 1) > BRUTE_SKIP_POINTS:
-                report.counts["brute"] = "skipped"
+                report.counts[method] = "skipped"
                 continue
-            report.counts["brute"] = projective_count(
+            report.counts[method] = projective_count(
                 field, dwork_polynomial(field, degree, lam), degree
             )
         else:
-            if method == "koblitz":
-                total = koblitz_total(diag)
-            elif method == "greene":
-                totals = {4: dwork4_greene_total, 5: dwork5_greene_total, 6: dwork6_greene_total}
-                total = totals[degree](DworkParams(field, degree, lam))
-            else:
-                total = miyatani_dwork6_total(DworkParams(field, degree, lam))
-            value, residual = round_to_int(total, tol)
+            value, residual = round_to_int(total(diag), tol)
             report.counts[method] = value
             report.residuals[method] = residual
         report.ms[method] = (time.perf_counter() - start) * 1000
@@ -125,20 +127,16 @@ def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol:
 
 def _parse_methods(text: str, degree: int) -> list[str]:
     if text == "all":
-        methods = ["brute", "koblitz"]
-        if degree in (4, 5, 6):
-            methods.append("greene")
-        if degree == 6:
-            methods.append("miyatani")
-        return methods
+        return [m for m, (degrees, _) in ROUTES.items() if degree in degrees]
     methods = [m.strip() for m in text.split(",")]
     for m in methods:
-        if m not in METHOD_NAMES:
+        if m not in ROUTES:
             raise ValueError(f"unknown method {m!r}")
-        if m == "greene" and degree not in (4, 5, 6):
-            raise ValueError("the greene route needs degree 4, 5, or 6")
-        if m == "miyatani" and degree != 6:
-            raise ValueError("the miyatani route needs degree 6")
+        degrees = ROUTES[m][0]
+        if degree not in degrees:
+            *head, last = map(str, degrees)
+            listed = ", ".join(head + [f"or {last}"]) if head else last
+            raise ValueError(f"the {m} route needs degree {listed}")
     return methods
 
 
@@ -165,12 +163,13 @@ def _add_field_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_count_args(sub: argparse.ArgumentParser) -> None:
     _add_field_args(sub)
-    sub.add_argument("--degree", type=int, choices=(3, 4, 5, 6), required=True)
+    degrees = sorted({d for covered, _ in ROUTES.values() for d in covered})
+    sub.add_argument("--degree", type=int, choices=degrees, required=True)
     sub.add_argument("--lambda", dest="lam", help="deformation parameter")
     sub.add_argument(
         "--all-lambda", action="store_true", help="sweep every nonsingular parameter"
     )
-    sub.add_argument("--methods", default="all", help="comma list of brute,koblitz,greene,miyatani")
+    sub.add_argument("--methods", default="all", help=f"comma list of {','.join(ROUTES)}")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--tolerance", type=float, default=1e-3)
 

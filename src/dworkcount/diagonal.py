@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import char_at_minus_one, round_to_int
 from .errors import (
     BadDegreeError,
     BadLambdaError,
@@ -91,15 +90,6 @@ def weil_point_count(field: FqField, d: int, n: int, w: tuple[int, ...]) -> comp
     return prod / field.q
 
 
-def fermat_count(field: FqField, d: int, n: int, *, tol: float = 1e-3) -> int:
-    """Points of the Fermat hypersurface x_1**d + ... + x_n**d = 0 in P^(n-1)."""
-    total = 0j
-    for w in _weight_vectors(d, n):
-        total += weil_point_count(field, d, n, w)
-    value, _ = round_to_int(total, tol)
-    return value
-
-
 def _weight_vectors(d: int, n: int):
     """All w in (Z/d)^n with sum(w) = 0 mod d."""
     for head in itertools.product(range(d), repeat=n - 1):
@@ -134,10 +124,6 @@ def _shift_classes(
             seen.update(members)
             classes.append((w, members))
     return tuple(classes)
-
-
-def canonical_class_rep(d: int, h: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    return min(class_members(d, h, w))
 
 
 @dataclass(frozen=True)
@@ -239,25 +225,17 @@ def _weil_sum(field: FqField, d: int, members) -> complex:
     return total
 
 
-def class_gauss_average(
-    params: DiagonalParams, w: tuple[int, ...], *, check_members: bool = False
-) -> complex:
+def class_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     """The twisted Gauss-sum average attached to the class of w:
 
         (q-1)**(-1) * sum_j [prod_i g(omega**(w_i t + h_i j)) / g(omega**(d j))]
                       * omega**(d j)(d lam)
 
     The product is only meaningful as a whole; any member of the class gives
-    the same value, since shifting w by h reindexes j.  With check_members
-    the value is recomputed from every member and agreement is asserted.
+    the same value, since shifting w by h reindexes j.
     """
     plan = _class_plan(params)
-    tw = plan.twist(params)
-    if check_members:
-        values = list(plan.gauss_averages(class_members(params.d, params.h, w), tw))
-        assert max(abs(v - values[0]) for v in values) < 1e-9 * params.field.q ** (params.n / 2)
-        return values[0]
-    return next(plan.gauss_averages([w], tw))
+    return next(plan.gauss_averages([w], plan.twist(params)))
 
 
 def class_contribution(params: DiagonalParams, w: tuple[int, ...]) -> complex:
@@ -276,8 +254,3 @@ def koblitz_total(params: DiagonalParams) -> complex:
         total += weil + average
     return total
 
-
-def koblitz_count(params: DiagonalParams, *, tol: float = 1e-3) -> int:
-    """koblitz_total rounded to an integer with a residual check."""
-    value, _ = round_to_int(koblitz_total(params), tol)
-    return value

@@ -3,8 +3,10 @@
 Two independent routes.  The closed forms express the count through a fixed
 list of binomial-normalized hypergeometric values with Jacobi-sum
 coefficients (four terms for degree 4, six for degree 5, fifteen for degree
-6).  The kernel route instead sums gamma(s) * F(s) over the 6**4 classes of
-the exponent-matrix kernel, where F(s) is a reduced Gauss-sum-normalized
+6), each written once as rows of CLOSED_FORMS: greene_total evaluates them
+and the identity suite checks the degree-6 rows orbit by orbit.  The kernel
+route instead sums gamma(s) * F(s) over the 6**4 classes of the
+exponent-matrix kernel, where F(s) is a reduced Gauss-sum-normalized
 hypergeometric value; a preflight report asserts the structural conditions
 the route needs (divisibility, Smith normal form, vanishing of the two
 auxiliary terms) instead of assuming them.
@@ -22,8 +24,6 @@ from .characters import (
     char_at_minus_one,
     jacobi,
     norm_jacobi,
-    round_to_int,
-    trivial_char,
 )
 from .diagonal import DiagonalParams
 from .errors import (
@@ -38,6 +38,46 @@ from .field import FqElem, FqField
 from .hypergeometric import GreeneParams, McCarthyParams, greene_F, mccarthy_F, reduce_params
 
 
+# Each closed form is (q**(d-1) - 1)/(q - 1) plus one term per row, added in
+# row order.  A row is (orbit label, coefficient, q-power, indices into
+# closed_form_constants, upper exponents, lower exponents), exponents in units
+# of t = (q-1)/d; the row's term is coefficient * q**power times each indexed
+# constant times F(upper; lower; 1/lam**d).  Rows without exponents carry the
+# quadratic character w2(1 - lam**d) in place of F.  The label is the
+# permutation orbit of shift classes whose contributions the term sums; the
+# coefficient is a multiple of the orbit size.
+CLOSED_FORMS = {
+    4: (
+        ((0, 0, 1, 3), 12, 1, (0,), None, None),
+        ((0, 0, 0, 0), 1, 2, (), (1, 2, 3), (0, 0)),
+        ((0, 0, 2, 2), 3, 2, (1,), (3, 1), (2,)),
+    ),
+    5: (
+        ((0, 0, 0, 0, 0), 1, 3, (), (1, 2, 3, 4), (0, 0, 0)),
+        ((0, 0, 0, 1, 4), 20, 2, (), (2, 3), (0,)),
+        ((0, 0, 0, 2, 3), 20, 2, (), (1, 4), (0,)),
+        ((0, 0, 1, 1, 3), 30, 2, (), (1, 3), (4,)),
+        ((0, 0, 1, 2, 2), 30, 2, (), (1, 2), (3,)),
+    ),
+    6: (
+        ((0, 0, 1, 2, 4, 5), 360, 2, (), None, None),
+        ((0, 0, 0, 0, 0, 0), 1, 4, (), (1, 2, 3, 4, 5), (0, 0, 0, 0)),
+        ((0, 0, 0, 0, 1, 5), 30, 3, (0,), (2, 3, 4), (0, 0)),
+        ((0, 0, 0, 0, 2, 4), 30, 3, (), (1, 3, 5), (0, 0)),
+        ((0, 0, 0, 0, 3, 3), -15, 3, (0, 2), (1, 5, 4, 2), (0, 0, 3)),
+        ((0, 0, 0, 2, 2, 2), -20, 3, (0, 1), (1, 3, 4, 5), (0, 2, 2)),
+        ((0, 0, 0, 1, 1, 4), 60, 2, (0, 3, 2), (1, 4, 3), (0, 5)),
+        ((0, 0, 0, 2, 5, 5), 60, 2, (4, 2), (2, 5, 3), (0, 1)),
+        ((0, 0, 1, 1, 2, 2), 90, 3, (), (3, 4, 5), (1, 2)),
+        ((0, 0, 2, 2, 4, 4), -30, 2, (5, 1), (1, 3, 5), (2, 4)),
+        ((0, 0, 0, 1, 2, 3), -120, 2, (1,), (1, 2), (0,)),
+        ((0, 0, 0, 3, 4, 5), -120, 2, (2,), (4, 5), (0,)),
+        ((0, 0, 1, 3, 3, 5), -180, 2, (1,), (2, 4), (3,)),
+        ((0, 0, 1, 3, 4, 4), -180, 2, (1,), (2, 5), (4,)),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class DworkParams:
     """Validated parameters (field, degree, deformation) for the smooth family."""
@@ -47,8 +87,9 @@ class DworkParams:
     lam: FqElem
 
     def __post_init__(self):
-        if self.degree not in (4, 5, 6):
-            raise BadDegreeError(f"closed forms cover degrees 4, 5, 6, not {self.degree}")
+        if self.degree not in CLOSED_FORMS:
+            degrees = ", ".join(map(str, CLOSED_FORMS))
+            raise BadDegreeError(f"closed forms cover degrees {degrees}, not {self.degree}")
         if self.field.q1 % self.degree != 0:
             raise BadModulusError(f"q = {self.field.q} is not 1 mod {self.degree}")
         if self.lam.field is not self.field:
@@ -67,111 +108,55 @@ class DworkParams:
         return DiagonalParams(self.field, self.degree, (1,) * self.degree, self.lam)
 
 
-def _greene(field: FqField, upper, lower, x: FqElem) -> complex:
-    return greene_F(GreeneParams(tuple(upper), tuple(lower), x))
-
-
-def dwork4_greene_total(params: DworkParams) -> complex:
-    """Four-term closed form for degree 4, before rounding."""
-    if params.degree != 4:
-        raise BadDegreeError("degree-4 form")
-    field, q, t = params.field, params.field.q, params.t
-    eps = trivial_char(field)
-    w4, w2, w4b = (MultChar(field, i * t) for i in (1, 2, 3))
-    x = (params.lam**4).inverse()
-    total = (q**3 - 1) // (q - 1) + 0j
-    total += 12 * q * char_at_minus_one(field, t) * w2(field.one - params.lam**4)
-    total += q**2 * _greene(field, (w4, w2, w4b), (eps, eps), x)
-    total += 3 * q**2 * norm_jacobi(w4b, w4) * _greene(field, (w4b, w4), (w2,), x)
-    return total
-
-
-def dwork4_greene_count(params: DworkParams, *, tol: float = 1e-3) -> int:
-    value, _ = round_to_int(dwork4_greene_total(params), tol)
-    return value
-
-
-def dwork5_greene_total(params: DworkParams) -> complex:
-    """Six-term closed form for degree 5, before rounding."""
-    if params.degree != 5:
-        raise BadDegreeError("degree-5 form")
-    field, q, t = params.field, params.field.q, params.t
-    eps = trivial_char(field)
-    w1, w2, w3, w4 = (MultChar(field, i * t) for i in (1, 2, 3, 4))
-    x = (params.lam**5).inverse()
-    total = (q**4 - 1) // (q - 1) + 0j
-    total += q**3 * _greene(field, (w1, w2, w3, w4), (eps, eps, eps), x)
-    total += 20 * q**2 * _greene(field, (w2, w3), (eps,), x)
-    total += 20 * q**2 * _greene(field, (w1, w4), (eps,), x)
-    total += 30 * q**2 * _greene(field, (w1, w3), (w4,), x)
-    total += 30 * q**2 * _greene(field, (w1, w2), (w3,), x)
-    return total
-
-
-def dwork5_greene_count(params: DworkParams, *, tol: float = 1e-3) -> int:
-    value, _ = round_to_int(dwork5_greene_total(params), tol)
-    return value
-
-
-def sextic_jacobi_sums(field: FqField) -> tuple[complex, ...]:
-    """The five lambda-independent Jacobi sums of the degree-6 closed form,
-    computed once per field: J(w6, w3, w2), J(w2, conj w3, conj w6),
-    J(w6, w6, conj w3), J(w3, w3, w3) and J(w6, w6)."""
+def closed_form_constants(field: FqField, d: int) -> tuple[complex, ...]:
+    """The lambda-free constants the rows of CLOSED_FORMS[d] index, computed
+    once per field.  Degree 6: w6(-1), J(w6, w3, w2), J(w2, conj w3, conj w6),
+    J(w6, w6, conj w3), J(w3, w3, w3), J(w6, w6).  Degree 4: w4(-1) and
+    (conj w4; w4).  Degree 5: none."""
 
     def build():
-        t = field.q1 // 6
-        w6, w3, w2 = MultChar(field, t), MultChar(field, 2 * t), MultChar(field, 3 * t)
-        w3b, w6b = w3.conj(), w6.conj()
-        return (
-            jacobi((w6, w3, w2)),
-            jacobi((w2, w3b, w6b)),
-            jacobi((w6, w6, w3b)),
-            jacobi((w3, w3, w3)),
-            jacobi((w6, w6)),
-        )
+        t = field.q1 // d
+        w = [MultChar(field, i * t) for i in range(d)]
+        if d == 6:
+            return (
+                char_at_minus_one(field, t),
+                jacobi((w[1], w[2], w[3])),
+                jacobi((w[3], w[4], w[5])),
+                jacobi((w[1], w[1], w[4])),
+                jacobi((w[2], w[2], w[2])),
+                jacobi((w[1], w[1])),
+            )
+        if d == 4:
+            return char_at_minus_one(field, t), norm_jacobi(w[3], w[1])
+        return ()
 
-    return field.plan(("sextic-jacobi",), build)
+    return field.plan(("closed-form", d), build)
 
 
-def dwork6_greene_total(params: DworkParams) -> complex:
-    """Fifteen-term closed form for degree 6, before rounding."""
-    if params.degree != 6:
-        raise BadDegreeError("degree-6 form")
-    field, q, t = params.field, params.field.q, params.t
-    eps = trivial_char(field)
-    w6, w3, w2 = MultChar(field, t), MultChar(field, 2 * t), MultChar(field, 3 * t)
-    w3b, w6b = w3.conj(), w6.conj()
-    x = (params.lam**6).inverse()
-    s6 = char_at_minus_one(field, t)
-    j632, j236, j663b, j333, j66 = sextic_jacobi_sums(field)
-    total = (q**5 - 1) // (q - 1) + 0j
-    total += 360 * q**2 * w2(field.one - params.lam**6)
-    total += q**4 * _greene(field, (w6, w3, w2, w3b, w6b), (eps,) * 4, x)
-    total += 30 * q**3 * s6 * _greene(field, (w3, w2, w3b), (eps, eps), x)
-    total += 30 * q**3 * _greene(field, (w6, w2, w6b), (eps, eps), x)
-    total += -15 * q**3 * s6 * j236 * _greene(field, (w6, w6b, w3b, w3), (eps, eps, w2), x)
-    total += -20 * q**3 * s6 * j632 * _greene(field, (w6, w2, w3b, w6b), (eps, w3, w3), x)
-    total += 60 * q**2 * s6 * j663b * j236 * _greene(field, (w6, w3b, w2), (eps, w6b), x)
-    total += 60 * q**2 * j333 * j236 * _greene(field, (w3, w6b, w2), (eps, w6), x)
-    total += 90 * q**3 * _greene(field, (w2, w3b, w6b), (w6, w3), x)
-    total += -30 * q**2 * j66 * j632 * _greene(field, (w6, w2, w6b), (w3, w3b), x)
-    total += -120 * q**2 * j632 * _greene(field, (w6, w3), (eps,), x)
-    total += -120 * q**2 * j236 * _greene(field, (w3b, w6b), (eps,), x)
-    total += -180 * q**2 * j632 * _greene(field, (w3, w3b), (w2,), x)
-    total += -180 * q**2 * j632 * _greene(field, (w3, w6b), (w3b,), x)
+def closed_form_term(params: DworkParams, row, coef: int) -> complex:
+    """One row of CLOSED_FORMS[params.degree], with coef in place of the
+    row's coefficient, multiplied left to right: coef * q**power, then each
+    constant, then the hypergeometric value."""
+    field, d, t = params.field, params.degree, params.t
+    _, _, power, consts, upper, lower = row
+    constants = closed_form_constants(field, d)
+    value = coef * field.q**power
+    for i in consts:
+        value = value * constants[i]
+    if upper is None:
+        return value * MultChar(field, field.q1 // 2)(field.one - params.lam**d)
+    up = tuple(MultChar(field, k * t) for k in upper)
+    lo = tuple(MultChar(field, k * t) for k in lower)
+    return value * greene_F(GreeneParams(up, lo, (params.lam**d).inverse()))
+
+
+def greene_total(params: DworkParams) -> complex:
+    """The closed form for params.degree, before rounding."""
+    q, d = params.field.q, params.degree
+    total = (q ** (d - 1) - 1) // (q - 1) + 0j
+    for row in CLOSED_FORMS[d]:
+        total += closed_form_term(params, row, row[1])
     return total
-
-
-def dwork6_greene_count(params: DworkParams, *, tol: float = 1e-3) -> int:
-    value, _ = round_to_int(dwork6_greene_total(params), tol)
-    return value
-
-
-def greene_count(params: DworkParams, *, tol: float = 1e-3) -> int:
-    """Dispatch to the closed form matching params.degree."""
-    totals = {4: dwork4_greene_total, 5: dwork5_greene_total, 6: dwork6_greene_total}
-    value, _ = round_to_int(totals[params.degree](params), tol)
-    return value
 
 
 def smith_normal_form(mat) -> tuple[int, ...]:
@@ -407,7 +392,3 @@ def miyatani_dwork6_total(params: DworkParams) -> complex:
         total += val
     return (field.q**5 - 1) // (field.q - 1) - total
 
-
-def miyatani_dwork6_count(params: DworkParams, *, tol: float = 1e-3) -> int:
-    value, _ = round_to_int(miyatani_dwork6_total(params), tol)
-    return value

@@ -340,9 +340,6 @@ class FqField:
             return FqElem(self, None)
         return FqElem(self, int(self.dlog_table[i]))
 
-    def from_exp(self, m: int) -> FqElem:
-        return FqElem(self, m)
-
     def from_coeffs(self, coeffs) -> FqElem:
         cs = list(coeffs)
         if len(cs) > self.e:
@@ -401,13 +398,6 @@ class FqField:
         return out
 
     # -- queries -------------------------------------------------------
-
-    def dlog(self, x: FqElem) -> int:
-        if x.field is not self:
-            raise MixedFieldsError("element from another field")
-        if x.exp is None:
-            raise ZeroArgumentError("dlog of zero is undefined")
-        return x.exp
 
     def trace(self, x: FqElem) -> int:
         if x.field is not self:

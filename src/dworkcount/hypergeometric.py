@@ -21,7 +21,6 @@ from .characters import (
     char_at_minus_one,
     norm_jacobi,
     norm_jacobi_exps,
-    omega_beta,
 )
 from .errors import BadParamsError, MixedFieldsError, PreconditionError
 from .field import FqElem, FqField
@@ -128,14 +127,6 @@ def greene_F(params: GreeneParams) -> complex:
     if params.n == 1:
         return _greene_2f1_average(params)
     return greene_F_chi_sum(params)
-
-
-def greene_1f0(alpha: int, x: FqElem) -> complex:
-    """The no-lower-parameter closed form eps(x) * conj(omega_alpha)(1 - x)."""
-    chi = omega_beta(x.field, alpha)
-    if x.is_zero:
-        return 0j
-    return chi.conj()(x.field.one - x)
 
 
 def mccarthy_F(params: McCarthyParams) -> complex:

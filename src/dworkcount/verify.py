@@ -10,6 +10,7 @@ normalizations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +25,16 @@ from .characters import (
     trivial_char,
 )
 from .diagonal import DiagonalParams, class_contribution, enumerate_orbit_classes
-from .dwork import KernelElement, enumerate_kernel, gamma_s, miyatani_F_s, sextic_jacobi_sums
-from .errors import BadModulusError
-from .field import FqElem, FqField
-from .hypergeometric import (
-    GreeneParams,
-    McCarthyParams,
-    greene_F,
-    mccarthy_F,
-    mccarthy_to_greene,
+from .dwork import (
+    CLOSED_FORMS,
+    DworkParams,
+    KernelElement,
+    closed_form_term,
+    gamma_s,
+    miyatani_F_s,
 )
+from .field import FqElem, FqField
+from .hypergeometric import McCarthyParams, mccarthy_F, mccarthy_to_greene
 
 
 @dataclass(frozen=True)
@@ -128,51 +129,26 @@ def twisted_convolution_checks(field: FqField, lam_limit: int = 3) -> list[Check
     return [CheckResult("twisted-convolution", worst, tol, count)]
 
 
-def _chars6(field: FqField):
-    t = field.q1 // 6
-    w6 = MultChar(field, t)
-    w3 = MultChar(field, 2 * t)
-    w2 = MultChar(field, 3 * t)
-    return w6, w3, w2, w3.conj(), w6.conj()
-
-
 PAIRED_ORBITS = ((0, 0, 0, 1, 1, 4), (0, 0, 0, 2, 5, 5))
+
+
+@functools.lru_cache(maxsize=None)
+def _sextic_orbit_sizes() -> dict[tuple[int, ...], int]:
+    return {o.rep: o.size for o in enumerate_orbit_classes(6, 6, (1,) * 6)}
 
 
 def orbit_closed_forms(field: FqField, lam: FqElem) -> tuple[dict[tuple[int, ...], complex], complex]:
     """Closed-form values of the per-class contribution, keyed by orbit
-    representative; the two interleaved orbits are returned only as a sum."""
-    if field.q1 % 6:
-        raise BadModulusError(f"q = {field.q} is not 1 mod 6")
-    q = field.q
-    t = field.q1 // 6
-    eps = trivial_char(field)
-    w6, w3, w2, w3b, w6b = _chars6(field)
-    x = (lam**6).inverse()
-    s6 = char_at_minus_one(field, t)
-    j632, j236, j663b, j333, j66 = sextic_jacobi_sums(field)
-
-    def F(up, lo):
-        return greene_F(GreeneParams(up, lo, x))
-
+    representative: each degree-6 row of CLOSED_FORMS with its coefficient
+    divided by the orbit size.  The main term joins the zero orbit; the two
+    interleaved orbits are returned only as a sum."""
+    params = DworkParams(field, 6, lam)
+    sizes = _sextic_orbit_sizes()
     forms = {
-        (0, 0, 0, 0, 0, 0): (q**5 - 1) // (q - 1)
-        + q**4 * F((w6, w3, w2, w3b, w6b), (eps,) * 4),
-        (0, 0, 0, 0, 1, 5): q**3 * s6 * F((w3, w2, w3b), (eps, eps)),
-        (0, 0, 0, 0, 2, 4): q**3 * F((w6, w2, w6b), (eps, eps)),
-        (0, 0, 0, 0, 3, 3): -(q**3) * s6 * j236 * F((w6, w6b, w3b, w3), (eps, eps, w2)),
-        (0, 0, 0, 2, 2, 2): -(q**3) * s6 * j632 * F((w6, w2, w3b, w6b), (eps, w3, w3)),
-        (0, 0, 0, 1, 2, 3): -(q**2) * j632 * F((w6, w3), (eps,)),
-        (0, 0, 0, 3, 4, 5): -(q**2) * j236 * F((w3b, w6b), (eps,)),
-        (0, 0, 1, 1, 2, 2): q**3 * F((w2, w3b, w6b), (w6, w3)),
-        (0, 0, 2, 2, 4, 4): -(q**2) * j66 * j632 * F((w6, w2, w6b), (w3, w3b)),
-        (0, 0, 1, 3, 3, 5): -(q**2) * j632 * F((w3, w3b), (w2,)),
-        (0, 0, 1, 3, 4, 4): -(q**2) * j632 * F((w3, w6b), (w3b,)),
-        (0, 0, 1, 2, 4, 5): q**2 * w2(field.one - lam**6),
+        row[0]: closed_form_term(params, row, row[1] // sizes[row[0]]) for row in CLOSED_FORMS[6]
     }
-    pair = q**2 * s6 * j663b * j236 * F((w6, w3b, w2), (eps, w6b)) + q**2 * j333 * j236 * F(
-        (w3, w6b, w2), (eps, w6)
-    )
+    forms[(0,) * 6] = (field.q**5 - 1) // (field.q - 1) + forms[(0,) * 6]
+    pair = forms.pop(PAIRED_ORBITS[0]) + forms.pop(PAIRED_ORBITS[1])
     return forms, pair
 
 
@@ -183,14 +159,8 @@ def orbit_closed_form_checks(field: FqField, lams: list[FqElem] | None = None) -
         return [CheckResult("orbit-closed-forms", 0.0, tol, 0, "q is not 1 mod 6")]
     if lams is None:
         lams = valid_lambdas(field, 6)
-    keys = sorted(k for o in enumerate_orbit_classes(6, 6, (1,) * 6) for k in [o.rep])
-    if not lams:
-        return [
-            CheckResult(f"orbit-{key}", 0.0, tol, 0, "no lambda with lambda**6 != 1")
-            for key in keys
-            if key not in PAIRED_ORBITS
-        ] + [CheckResult(f"orbit-pair-{PAIRED_ORBITS[0]}+{PAIRED_ORBITS[1]}", 0.0, tol, 0, "no lambda with lambda**6 != 1")]
-    worst: dict[tuple[int, ...], float] = {key: 0.0 for key in keys if key not in PAIRED_ORBITS}
+    note = "" if lams else "no lambda with lambda**6 != 1"
+    worst = {key: 0.0 for key in sorted(_sextic_orbit_sizes()) if key not in PAIRED_ORBITS}
     worst_pair = 0.0
     for lam in lams:
         params = DiagonalParams(field, 6, (1,) * 6, lam)
@@ -200,10 +170,10 @@ def orbit_closed_form_checks(field: FqField, lams: list[FqElem] | None = None) -
             worst[key] = max(worst[key], abs(got - value))
         got_pair = sum(class_contribution(params, key) for key in PAIRED_ORBITS)
         worst_pair = max(worst_pair, abs(got_pair - pair))
-    rows = [CheckResult(f"orbit-{key}", res, tol, len(lams)) for key, res in sorted(worst.items())]
+    rows = [CheckResult(f"orbit-{key}", res, tol, len(lams), note) for key, res in worst.items()]
     rows.append(
         CheckResult(
-            f"orbit-pair-{PAIRED_ORBITS[0]}+{PAIRED_ORBITS[1]}", worst_pair, tol, len(lams)
+            f"orbit-pair-{PAIRED_ORBITS[0]}+{PAIRED_ORBITS[1]}", worst_pair, tol, len(lams), note
         )
     )
     return rows

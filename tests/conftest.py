@@ -1,8 +1,15 @@
-"""Shared field fixtures, built once per session."""
+"""Shared field fixtures, built once per session, and the rounding helper."""
 
 import pytest
 
+from dworkcount.characters import round_to_int
 from dworkcount.field import FqField
+
+
+def rounded(total: complex, tol: float = 1e-3) -> int:
+    """A route total as the integer count the command line reports."""
+    value, _ = round_to_int(total, tol)
+    return value
 
 
 @pytest.fixture(scope="session")

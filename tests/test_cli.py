@@ -13,9 +13,16 @@ import pytest
 import dworkcount
 import dworkcount.diagonal as diagonal
 import dworkcount.dwork as dwork
-from dworkcount.cli import CSV_HEADER, main, run_count
+from dworkcount.cli import main, run_count
 from dworkcount.field import FqField
 from dworkcount.verify import valid_lambdas
+
+CSV_HEADER = (
+    "q,degree,lambda,"
+    "count_brute,count_koblitz,count_greene,count_miyatani,"
+    "res_koblitz,res_greene,res_miyatani,"
+    "ms_brute,ms_koblitz,ms_greene,ms_miyatani"
+)
 
 
 def run_main(capsys, *argv):
@@ -98,19 +105,50 @@ def test_all_lambda_json_is_array(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
+    # (argv, exact stderr or None when only the exit code is pinned)
     cases = [
-        ("count", "--degree", "6", "--p", "13"),
-        ("count", "--degree", "6", "--p", "13", "--lambda", "0"),
-        ("count", "--degree", "6", "--p", "13", "--lambda", "1"),
-        ("count", "--degree", "6", "--p", "12", "--lambda", "2"),
-        ("count", "--degree", "3", "--p", "13", "--lambda", "2", "--methods", "miyatani"),
-        ("count", "--degree", "4", "--p", "13", "--lambda", "2", "--methods", "nosuch"),
-        ("count", "--degree", "6", "--p", "11", "--lambda", "2"),
+        (("count", "--degree", "6", "--p", "13"), None),
+        (("count", "--degree", "6", "--p", "13", "--lambda", "0"), None),
+        (("count", "--degree", "6", "--p", "13", "--lambda", "1"), None),
+        (("count", "--degree", "6", "--p", "12", "--lambda", "2"), None),
+        (
+            ("count", "--degree", "3", "--p", "13", "--lambda", "2", "--methods", "greene"),
+            "error: the greene route needs degree 4, 5, or 6\n",
+        ),
+        (
+            ("count", "--degree", "3", "--p", "13", "--lambda", "2", "--methods", "miyatani"),
+            "error: the miyatani route needs degree 6\n",
+        ),
+        (
+            ("count", "--degree", "4", "--p", "13", "--lambda", "2", "--methods", "nosuch"),
+            "error: unknown method 'nosuch'\n",
+        ),
+        (("count", "--degree", "6", "--p", "11", "--lambda", "2"), None),
     ]
-    for argv in cases:
+    for argv, expected in cases:
         code, out, err = run_main(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
+        if expected is not None:
+            assert err == expected
+
+
+@pytest.mark.parametrize(
+    "degree, p, lam, methods",
+    [
+        (3, 7, 3, ["brute", "koblitz"]),
+        (4, 13, 2, ["brute", "koblitz", "greene"]),
+        (5, 11, 2, ["brute", "koblitz", "greene"]),
+        (6, 13, 2, ["brute", "koblitz", "greene", "miyatani"]),
+    ],
+)
+def test_methods_all_runs_every_route_of_the_degree(capsys, degree, p, lam, methods):
+    # the same lists as bench/spec.py's all_methods
+    code, out, err = run_main(
+        capsys, "count", "--degree", str(degree), "--p", str(p), "--lambda", str(lam)
+    )
+    assert code == 0, err
+    assert list(json.loads(out)["counts"]) == methods
 
 
 def test_degree_three_runs_enumeration_and_gauss_routes(capsys):

@@ -7,13 +7,10 @@ import pytest
 from dworkcount.brute import deformed_diagonal_polynomial, projective_count
 from dworkcount.diagonal import (
     DiagonalParams,
-    canonical_class_rep,
     class_contribution,
     class_gauss_average,
     class_members,
     enumerate_orbit_classes,
-    fermat_count,
-    koblitz_count,
     koblitz_total,
     weil_point_count,
     _weight_vectors,
@@ -26,6 +23,22 @@ from dworkcount.errors import (
 )
 from dworkcount.field import FqField
 from dworkcount.verify import valid_lambdas
+
+from conftest import rounded
+
+
+def canonical_class_rep(d, h, w):
+    """The least member of the shift class of w."""
+    return min(class_members(d, h, w))
+
+
+def fermat_count(field, d, n):
+    """Points of x_1**d + ... + x_n**d = 0 in P^(n-1): the Weil terms of
+    every weight vector, summed and rounded."""
+    total = 0j
+    for w in _weight_vectors(d, n):
+        total += weil_point_count(field, d, n, w)
+    return rounded(total)
 
 
 def test_weil_sum_matches_projective_line_fermat(f13):
@@ -119,9 +132,10 @@ def test_orbit_decomposition_shape():
 def test_class_gauss_average_member_independence(f13):
     params = DiagonalParams(f13, 6, (1,) * 6, f13.elem(2))
     for w in [(0, 0, 0, 1, 1, 4), (0, 1, 2, 3, 4, 2), (0, 0, 2, 2, 4, 4)]:
-        checked = class_gauss_average(params, w, check_members=True)
+        values = [class_gauss_average(params, v) for v in class_members(6, params.h, w)]
+        assert max(abs(v - values[0]) for v in values) < 1e-9 * f13.q ** (params.n / 2)
         plain = class_gauss_average(params, w)
-        assert abs(checked - plain) < 1e-12
+        assert abs(values[0] - plain) < 1e-12
 
 
 def test_permuted_classes_contribute_equally(f13):
@@ -141,14 +155,14 @@ def test_koblitz_sextic_anchor(f13):
         if (lam**6) == f13.one:
             continue
         params = DiagonalParams(f13, 6, (1,) * 6, lam)
-        assert koblitz_count(params) == 9810
+        assert rounded(koblitz_total(params)) == 9810
 
 
 def test_koblitz_quartic_anchor(f13):
     expected = {2: 320, 3: 320, 10: 320, 11: 320, 4: 352, 6: 352, 7: 352, 9: 352}
     for lam_id, count in expected.items():
         params = DiagonalParams(f13, 4, (1,) * 4, f13.from_id(lam_id))
-        assert koblitz_count(params) == count
+        assert rounded(koblitz_total(params)) == count
 
 
 def test_koblitz_quintic_anchor(f11):
@@ -157,7 +171,7 @@ def test_koblitz_quintic_anchor(f11):
         if (lam**5) == f11.one:
             continue
         params = DiagonalParams(f11, 5, (1,) * 5, lam)
-        assert koblitz_count(params) == 2550
+        assert rounded(koblitz_total(params)) == 2550
 
 
 def test_koblitz_matches_enumeration_for_nonuniform_weights(f13):
@@ -172,13 +186,13 @@ def test_koblitz_matches_enumeration_for_nonuniform_weights(f13):
         brute = projective_count(
             f13, deformed_diagonal_polynomial(f13, 6, h, lam), 3
         )
-        assert koblitz_count(params) == brute
+        assert rounded(koblitz_total(params)) == brute
 
 
 def test_hesse_family_anchor(f7):
     for lam_id in (3, 5, 6):
         params = DiagonalParams(f7, 3, (1, 1, 1), f7.from_id(lam_id))
-        assert koblitz_count(params) == 9
+        assert rounded(koblitz_total(params)) == 9
 
 
 def test_params_guards(f7, f13):

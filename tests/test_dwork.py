@@ -7,19 +7,29 @@ import math
 import numpy as np
 import pytest
 
-from dworkcount.characters import MultChar, gauss_sum
-from dworkcount.diagonal import DiagonalParams, koblitz_count
+from dworkcount.characters import (
+    MultChar,
+    char_at_minus_one,
+    gauss_sum,
+    jacobi,
+    norm_jacobi,
+    trivial_char,
+)
+from dworkcount.diagonal import (
+    DiagonalParams,
+    class_contribution,
+    enumerate_orbit_classes,
+    koblitz_total,
+)
 from dworkcount.dwork import (
+    CLOSED_FORMS,
     DworkParams,
     KernelElement,
-    dwork4_greene_count,
-    dwork5_greene_count,
-    dwork6_greene_count,
+    closed_form_term,
     enumerate_kernel,
     gamma_s,
-    greene_count,
+    greene_total,
     kernel_matrix,
-    miyatani_dwork6_count,
     miyatani_dwork6_total,
     miyatani_F_s,
     miyatani_preflight,
@@ -32,7 +42,10 @@ from dworkcount.errors import (
     BadWeightError,
 )
 from dworkcount.field import FqField
+from dworkcount.hypergeometric import GreeneParams, greene_F
 from dworkcount.verify import valid_lambdas
+
+from conftest import rounded
 
 
 def snf_divisors_via_minors(mat) -> tuple[int, ...]:
@@ -198,9 +211,8 @@ def test_greene_sextic_matches_koblitz(f13):
     for lam_id in (2, 5, 6, 7):
         lam = f13.from_id(lam_id)
         params = DworkParams(f13, 6, lam)
-        expected = koblitz_count(DiagonalParams(f13, 6, (1,) * 6, lam))
-        assert dwork6_greene_count(params) == expected
-        assert greene_count(params) == expected
+        expected = rounded(koblitz_total(DiagonalParams(f13, 6, (1,) * 6, lam)))
+        assert rounded(greene_total(params)) == expected
 
 
 def test_greene_quartic_matches_koblitz(f13, f17):
@@ -209,8 +221,8 @@ def test_greene_quartic_matches_koblitz(f13, f17):
             if (lam**4) == field.one:
                 continue
             params = DworkParams(field, 4, lam)
-            expected = koblitz_count(DiagonalParams(field, 4, (1,) * 4, lam))
-            assert dwork4_greene_count(params) == expected
+            expected = rounded(koblitz_total(DiagonalParams(field, 4, (1,) * 4, lam)))
+            assert rounded(greene_total(params)) == expected
 
 
 def test_greene_quintic_matches_koblitz(f11):
@@ -218,8 +230,8 @@ def test_greene_quintic_matches_koblitz(f11):
         if (lam**5) == f11.one:
             continue
         params = DworkParams(f11, 5, lam)
-        expected = koblitz_count(DiagonalParams(f11, 5, (1,) * 5, lam))
-        assert dwork5_greene_count(params) == expected
+        expected = rounded(koblitz_total(DiagonalParams(f11, 5, (1,) * 5, lam)))
+        assert rounded(greene_total(params)) == expected
 
 
 def test_miyatani_sextic_matches_koblitz(f13, f25):
@@ -229,8 +241,8 @@ def test_miyatani_sextic_matches_koblitz(f13, f25):
             if (lam**6) == field.one:
                 continue
             params = DworkParams(field, 6, lam)
-            expected = koblitz_count(DiagonalParams(field, 6, (1,) * 6, lam))
-            assert miyatani_dwork6_count(params) == expected
+            expected = rounded(koblitz_total(DiagonalParams(field, 6, (1,) * 6, lam)))
+            assert rounded(miyatani_dwork6_total(params)) == expected
             count += 1
             if count >= 4:
                 break
@@ -264,3 +276,91 @@ def test_miyatani_total_is_bit_identical_to_a_fresh_preflight():
     for field, lam in fibres:
         params = DworkParams(field, 6, lam)
         assert miyatani_dwork6_total(params) == _reference_miyatani_total(params)
+
+
+def _greene(upper, lower, x):
+    return greene_F(GreeneParams(tuple(upper), tuple(lower), x))
+
+
+def _reference_greene_total(params):
+    """The degree-4, -5 and -6 closed forms typed out term by term."""
+    field, q, t, lam = params.field, params.field.q, params.t, params.lam
+    eps = trivial_char(field)
+    w = [MultChar(field, i * t) for i in range(params.degree)]
+    x = (lam**params.degree).inverse()
+    if params.degree == 4:
+        w4, w2, w4b = w[1], w[2], w[3]
+        total = (q**3 - 1) // (q - 1) + 0j
+        total += 12 * q * char_at_minus_one(field, t) * w2(field.one - lam**4)
+        total += q**2 * _greene((w4, w2, w4b), (eps, eps), x)
+        total += 3 * q**2 * norm_jacobi(w4b, w4) * _greene((w4b, w4), (w2,), x)
+        return total
+    if params.degree == 5:
+        w1, w2, w3, w4 = w[1], w[2], w[3], w[4]
+        total = (q**4 - 1) // (q - 1) + 0j
+        total += q**3 * _greene((w1, w2, w3, w4), (eps, eps, eps), x)
+        total += 20 * q**2 * _greene((w2, w3), (eps,), x)
+        total += 20 * q**2 * _greene((w1, w4), (eps,), x)
+        total += 30 * q**2 * _greene((w1, w3), (w4,), x)
+        total += 30 * q**2 * _greene((w1, w2), (w3,), x)
+        return total
+    w6, w3, w2 = w[1], w[2], w[3]
+    w3b, w6b = w3.conj(), w6.conj()
+    s6 = char_at_minus_one(field, t)
+    j632 = jacobi((w6, w3, w2))
+    j236 = jacobi((w2, w3b, w6b))
+    j663b = jacobi((w6, w6, w3b))
+    j333 = jacobi((w3, w3, w3))
+    j66 = jacobi((w6, w6))
+    total = (q**5 - 1) // (q - 1) + 0j
+    total += 360 * q**2 * w2(field.one - lam**6)
+    total += q**4 * _greene((w6, w3, w2, w3b, w6b), (eps,) * 4, x)
+    total += 30 * q**3 * s6 * _greene((w3, w2, w3b), (eps, eps), x)
+    total += 30 * q**3 * _greene((w6, w2, w6b), (eps, eps), x)
+    total += -15 * q**3 * s6 * j236 * _greene((w6, w6b, w3b, w3), (eps, eps, w2), x)
+    total += -20 * q**3 * s6 * j632 * _greene((w6, w2, w3b, w6b), (eps, w3, w3), x)
+    total += 60 * q**2 * s6 * j663b * j236 * _greene((w6, w3b, w2), (eps, w6b), x)
+    total += 60 * q**2 * j333 * j236 * _greene((w3, w6b, w2), (eps, w6), x)
+    total += 90 * q**3 * _greene((w2, w3b, w6b), (w6, w3), x)
+    total += -30 * q**2 * j66 * j632 * _greene((w6, w2, w6b), (w3, w3b), x)
+    total += -120 * q**2 * j632 * _greene((w6, w3), (eps,), x)
+    total += -120 * q**2 * j236 * _greene((w3b, w6b), (eps,), x)
+    total += -180 * q**2 * j632 * _greene((w3, w3b), (w2,), x)
+    total += -180 * q**2 * j632 * _greene((w3, w6b), (w3b,), x)
+    return total
+
+
+def test_greene_total_is_bit_identical_to_the_typed_forms(f11, f13, f17, f31):
+    # The table-driven evaluator must multiply and add in exactly the typed
+    # order: near q = 2017 a sextic count lies in [2**43, 2**44), where one
+    # float ulp exceeds the rounding tolerance.  F_13 (degree 6) and F_41
+    # (degree 5) are fields where reordering two constants of one row, or
+    # two rows, changes the low bits.
+    f41, f61, f2017 = FqField(41), FqField(61), FqField(2017)
+    fibres = [(field, 6, lam) for field in (f61, f13) for lam in valid_lambdas(field, 6)]
+    fibres += [(f2017, 6, f2017.elem(1501)), (f2017, 6, f2017.elem(5))]
+    fibres += [(field, 4, lam) for field in (f13, f17) for lam in valid_lambdas(field, 4)]
+    fibres += [(field, 5, lam) for field in (f11, f31, f41) for lam in valid_lambdas(field, 5)]
+    for field, degree, lam in fibres:
+        params = DworkParams(field, degree, lam)
+        assert greene_total(params) == _reference_greene_total(params)
+    assert len(fibres) == (54 + 6 + 2) + (8 + 12) + (5 + 25 + 35)
+
+
+def test_closed_form_rows_sum_their_orbits(f11, f13):
+    # each row's term, with its coefficient divided by the orbit size, is
+    # the contribution of one shift class in the orbit the row names; the
+    # main term joins the zero orbit
+    for field, degree in ((f13, 4), (f11, 5), (f13, 6)):
+        sizes = {o.rep: o.size for o in enumerate_orbit_classes(degree, degree, (1,) * degree)}
+        main = (field.q ** (degree - 1) - 1) // (field.q - 1)
+        for lam in valid_lambdas(field, degree)[:3]:
+            params = DworkParams(field, degree, lam)
+            diag = params.diagonal()
+            for row in CLOSED_FORMS[degree]:
+                label, coef = row[0], row[1]
+                assert coef % sizes[label] == 0
+                value = closed_form_term(params, row, coef // sizes[label])
+                if label == (0,) * degree:
+                    value += main
+                assert abs(class_contribution(diag, label) - value) < 1e-6 * field.q**degree

@@ -13,7 +13,6 @@ from dworkcount.errors import BadDivisorError, BadParamsError, PreconditionError
 from dworkcount.hypergeometric import (
     GreeneParams,
     McCarthyParams,
-    greene_1f0,
     greene_F,
     greene_F_chi_sum,
     mccarthy_F,
@@ -128,16 +127,17 @@ def test_greene_3f2_fixture(f13):
 
 
 def test_greene_1f0_three_ways(f13):
-    # closed form vs the defining average vs the binomial expansion
+    # closed form eps(x) * conj(omega_alpha)(1 - x) vs the Gauss-normalized
+    # value with one upper parameter vs the binomial expansion
+    eps = trivial_char(f13)
     for alpha in (2, 3, 6):
         chi = omega_beta(f13, alpha)
         for x in f13.elements():
-            closed = greene_1f0(alpha, x)
+            closed = 0j if x.is_zero else chi.conj()(f13.one - x)
+            gauss = mccarthy_F(McCarthyParams((chi,), (eps,), x))
+            assert abs(closed - gauss) < 1e-12
             if x.is_zero:
-                assert closed == 0j
                 continue
-            average = chi.conj()(f13.one - x)
-            assert abs(closed - average) < 1e-12
             series = sum(
                 norm_jacobi(chi * MultChar(f13, j), MultChar(f13, j))
                 * MultChar(f13, j)(x)
@@ -145,7 +145,7 @@ def test_greene_1f0_three_ways(f13):
             ) * f13.q / (f13.q - 1)
             assert abs(closed - series) < 1e-9
     with pytest.raises(BadDivisorError):
-        greene_1f0(5, f13.one)
+        omega_beta(f13, 5)
 
 
 def test_mccarthy_matches_raw_definition(f13, f25):
