@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from .errors import (
-    BadDivisorError,
     BadLambdaError,
     BadModulusError,
     BadParamsError,
@@ -90,30 +89,11 @@ def omega(field: FqField) -> MultChar:
     return MultChar(field, 1)
 
 
-def omega_beta(field: FqField, beta: int) -> MultChar:
-    """The canonical character of exact order beta, omega**((q-1)/beta)."""
-    if beta <= 0 or field.q1 % beta != 0:
-        raise BadDivisorError(f"order {beta} does not divide q-1 = {field.q1}")
-    return MultChar(field, field.q1 // beta)
-
-
 def char_vector(field: FqField, k: int) -> np.ndarray:
-    """Cached vector of omega**k over all element ids (zero at id 0)."""
-    k %= field.q1
-    cached = field._char_vec_cache.get(k)
-    if cached is None:
-        v = np.zeros(field.q, dtype=np.complex128)
-        v[field.exp_table] = field.unit_roots[
-            (k * np.arange(field.q1, dtype=np.int64)) % field.q1
-        ]
-        field._char_vec_cache[k] = v
-        cached = v
-    return cached
-
-
-def gauss_sum(chi: MultChar) -> complex:
-    """g(chi) = sum over x of chi(x) exp(2*pi*i*tr(x)/p), from the field cache."""
-    return complex(chi.field.gauss_table[chi.k])
+    """omega**k over all element ids (zero at id 0)."""
+    v = np.zeros(field.q, dtype=np.complex128)
+    v[field.exp_table] = field.unit_roots[(k * np.arange(field.q1, dtype=np.int64)) % field.q1]
+    return v
 
 
 def jacobi(chars) -> complex:
@@ -151,18 +131,33 @@ def norm_jacobi(a: MultChar, b: MultChar) -> complex:
 
 
 def norm_jacobi_exps(field: FqField, ka: int, kb: int) -> complex:
-    """(omega**ka; omega**kb), memoized per field, via the direct J sum."""
-    key = (ka % field.q1, kb % field.q1)
-    cached = field._norm_jacobi_cache.get(key)
-    if cached is None:
-        ka, kb = key
-        v1 = char_vector(field, ka)
-        v2 = char_vector(field, -kb)
-        j = complex(v1 @ v2[field.one_minus_table])
-        sign = complex(field.unit_roots[(kb * field.dlog_table[field.neg_table[1]]) % field.q1])
-        cached = sign / field.q * j
-        field._norm_jacobi_cache[key] = cached
-    return cached
+    """(omega**ka; omega**kb): entry (0, 0) of jacobi_rows."""
+    return complex(jacobi_rows(field, [ka], [kb])[0, 0])
+
+
+def jacobi_rows(field: FqField, ka, kb) -> np.ndarray:
+    """Normalized Jacobi sums along every character shift: row r, entry j is
+
+        (omega**(ka[r]+j); omega**(kb[r]+j))
+            = omega**(kb[r]+j)(-1)/q * J(omega**(ka[r]+j), omega**(-kb[r]-j)).
+
+    Over x != 0, 1 with u = dlog x and v = dlog(1-x), the summand of J is
+    zeta**(ka u - kb v) * zeta**(j (u - v)) with zeta = exp(2 pi i/(q-1)), so
+    each row is one inverse DFT of the histogram of the first factor over
+    u - v mod q-1.  All rows share one bincount and one batched FFT.
+    """
+    q1 = field.q1
+    ka = np.asarray(ka, dtype=np.int64)[:, None] % q1
+    kb = np.asarray(kb, dtype=np.int64)[:, None] % q1
+    u = field.dlog_table[2:]
+    v = field.dlog_table[field.one_minus_table[2:]]
+    weights = field.unit_roots[(ka * u - kb * v) % q1].ravel()
+    bins = (np.arange(len(ka))[:, None] * q1 + (u - v) % q1).ravel()
+    size = len(ka) * q1
+    hist = np.bincount(bins, weights.real, size) + 1j * np.bincount(bins, weights.imag, size)
+    j = np.arange(q1)
+    sign = field.unit_roots[((kb + j) * field.dlog_table[field.neg_table[1]]) % q1]
+    return sign * (q1 / field.q) * np.fft.ifft(hist.reshape(-1, q1), axis=1)
 
 
 def char_at_minus_one(field: FqField, k: int) -> complex:
@@ -176,7 +171,7 @@ def round_to_int(value: complex, tol: float = 1e-3) -> tuple[int, float]:
     n = int(round(value.real))
     residual = abs(value - n)
     if residual > tol:
-        raise RoundingFailure(f"value {value!r} is {residual:.3g} away from an integer")
+        raise RoundingFailure(f"value {complex(value)} is {residual:.3g} away from an integer")
     return n, residual
 
 

@@ -118,7 +118,10 @@ def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol:
                 field, dwork_polynomial(field, degree, lam), degree
             )
         else:
-            value, residual = round_to_int(total(diag), tol)
+            try:
+                value, residual = round_to_int(total(diag), tol)
+            except RoundingFailure as exc:
+                raise RoundingFailure(f"{method}: {exc}") from None
             report.counts[method] = value
             report.residuals[method] = residual
         report.ms[method] = (time.perf_counter() - start) * 1000

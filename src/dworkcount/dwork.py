@@ -25,7 +25,6 @@ from .characters import (
     jacobi,
     norm_jacobi,
 )
-from .diagonal import DiagonalParams
 from .errors import (
     BadDegreeError,
     BadLambdaError,
@@ -102,10 +101,6 @@ class DworkParams:
     @property
     def t(self) -> int:
         return self.field.q1 // self.degree
-
-    def diagonal(self) -> DiagonalParams:
-        """The same hypersurface as a deformed diagonal family."""
-        return DiagonalParams(self.field, self.degree, (1,) * self.degree, self.lam)
 
 
 def closed_form_constants(field: FqField, d: int) -> tuple[complex, ...]:

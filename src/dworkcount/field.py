@@ -192,8 +192,6 @@ class FqField:
         self._build_add_tables()
         self._build_trace()
         self._build_analytic()
-        self._char_vec_cache: dict[int, np.ndarray] = {}
-        self._norm_jacobi_cache: dict[tuple[int, int], complex] = {}
         self._plans: dict[tuple, object] = {}
 
     # -- construction -------------------------------------------------

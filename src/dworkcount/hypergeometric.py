@@ -19,8 +19,7 @@ import numpy as np
 from .characters import (
     MultChar,
     char_at_minus_one,
-    norm_jacobi,
-    norm_jacobi_exps,
+    jacobi_rows,
 )
 from .errors import BadParamsError, MixedFieldsError, PreconditionError
 from .field import FqElem, FqField
@@ -87,17 +86,11 @@ def greene_F_chi_sum(params: GreeneParams) -> complex:
     if params.x.is_zero:
         return 0j
     field = params.field
-    q1 = field.q1
-    xexp = params.x.exp
-    a0 = params.upper[0].k
-    pairs = [(a.k, b.k) for a, b in zip(params.upper[1:], params.lower)]
-    total = 0j
-    for j in range(q1):
-        term = norm_jacobi_exps(field, a0 + j, j)
-        for ka, kb in pairs:
-            term *= norm_jacobi_exps(field, ka + j, kb + j)
-        total += term * field.unit_roots[(j * xexp) % q1]
-    return field.q / q1 * total
+    rows = jacobi_rows(
+        field, [a.k for a in params.upper], [0] + [b.k for b in params.lower]
+    )
+    chi_x = field.unit_roots[(np.arange(field.q1) * params.x.exp) % field.q1]
+    return complex(field.q / field.q1 * (np.prod(rows, axis=0) @ chi_x))
 
 
 def _greene_2f1_average(params: GreeneParams) -> complex:
@@ -191,10 +184,9 @@ def mccarthy_to_greene(params: McCarthyParams) -> complex:
         if params.x.is_zero:
             return 0j
         return a0.conj()(params.field.one - params.x)
-    coeff = 1 + 0j
-    for a, b in zip(params.upper[1:], params.lower[1:]):
-        if a == b:
-            raise PreconditionError("paired upper and lower parameters must differ")
-        coeff *= norm_jacobi(a, b)
-    value = greene_F(GreeneParams(params.upper, params.lower[1:], params.x))
-    return value / coeff
+    upper, lower = params.upper[1:], params.lower[1:]
+    if any(a == b for a, b in zip(upper, lower)):
+        raise PreconditionError("paired upper and lower parameters must differ")
+    rows = jacobi_rows(params.field, [a.k for a in upper], [b.k for b in lower])
+    value = greene_F(GreeneParams(params.upper, lower, params.x))
+    return complex(value / np.prod(rows[:, 0]))

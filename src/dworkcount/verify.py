@@ -129,27 +129,22 @@ def twisted_convolution_checks(field: FqField, lam_limit: int = 3) -> list[Check
     return [CheckResult("twisted-convolution", worst, tol, count)]
 
 
-PAIRED_ORBITS = ((0, 0, 0, 1, 1, 4), (0, 0, 0, 2, 5, 5))
-
-
 @functools.lru_cache(maxsize=None)
 def _sextic_orbit_sizes() -> dict[tuple[int, ...], int]:
     return {o.rep: o.size for o in enumerate_orbit_classes(6, 6, (1,) * 6)}
 
 
-def orbit_closed_forms(field: FqField, lam: FqElem) -> tuple[dict[tuple[int, ...], complex], complex]:
+def orbit_closed_forms(field: FqField, lam: FqElem) -> dict[tuple[int, ...], complex]:
     """Closed-form values of the per-class contribution, keyed by orbit
     representative: each degree-6 row of CLOSED_FORMS with its coefficient
-    divided by the orbit size.  The main term joins the zero orbit; the two
-    interleaved orbits are returned only as a sum."""
+    divided by the orbit size.  The main term joins the zero orbit."""
     params = DworkParams(field, 6, lam)
     sizes = _sextic_orbit_sizes()
     forms = {
         row[0]: closed_form_term(params, row, row[1] // sizes[row[0]]) for row in CLOSED_FORMS[6]
     }
     forms[(0,) * 6] = (field.q**5 - 1) // (field.q - 1) + forms[(0,) * 6]
-    pair = forms.pop(PAIRED_ORBITS[0]) + forms.pop(PAIRED_ORBITS[1])
-    return forms, pair
+    return forms
 
 
 def orbit_closed_form_checks(field: FqField, lams: list[FqElem] | None = None) -> list[CheckResult]:
@@ -160,23 +155,12 @@ def orbit_closed_form_checks(field: FqField, lams: list[FqElem] | None = None) -
     if lams is None:
         lams = valid_lambdas(field, 6)
     note = "" if lams else "no lambda with lambda**6 != 1"
-    worst = {key: 0.0 for key in sorted(_sextic_orbit_sizes()) if key not in PAIRED_ORBITS}
-    worst_pair = 0.0
+    worst = dict.fromkeys(sorted(_sextic_orbit_sizes()), 0.0)
     for lam in lams:
         params = DiagonalParams(field, 6, (1,) * 6, lam)
-        forms, pair = orbit_closed_forms(field, lam)
-        for key, value in forms.items():
-            got = class_contribution(params, key)
-            worst[key] = max(worst[key], abs(got - value))
-        got_pair = sum(class_contribution(params, key) for key in PAIRED_ORBITS)
-        worst_pair = max(worst_pair, abs(got_pair - pair))
-    rows = [CheckResult(f"orbit-{key}", res, tol, len(lams), note) for key, res in worst.items()]
-    rows.append(
-        CheckResult(
-            f"orbit-pair-{PAIRED_ORBITS[0]}+{PAIRED_ORBITS[1]}", worst_pair, tol, len(lams), note
-        )
-    )
-    return rows
+        for key, value in orbit_closed_forms(field, lam).items():
+            worst[key] = max(worst[key], abs(class_contribution(params, key) - value))
+    return [CheckResult(f"orbit-{key}", res, tol, len(lams), note) for key, res in worst.items()]
 
 
 # kernel-class identities: (w-label, sign, q-power, minus-one twist,

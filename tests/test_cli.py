@@ -133,6 +133,18 @@ def test_usage_errors_exit_two(capsys):
             assert err == expected
 
 
+def test_refusal_names_the_route_and_a_plain_number(capsys):
+    for method in ("koblitz", "greene", "miyatani"):
+        code, out, err = run_main(
+            capsys, "count", "--degree", "6", "--p", "13", "--lambda", "2",
+            "--methods", method, "--tolerance", "1e-30",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"verification failure: {method}: value (98")
+        assert "np." not in err and "complex128" not in err
+
+
 @pytest.mark.parametrize(
     "degree, p, lam, methods",
     [

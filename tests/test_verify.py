@@ -1,5 +1,6 @@
 """The bundled identity suite must be green on its own fields."""
 
+from dworkcount.diagonal import enumerate_orbit_classes
 from dworkcount.verify import (
     CheckResult,
     bridge_checks,
@@ -87,6 +88,16 @@ def test_orbit_rows_vacuous_on_singular_field(f7):
     rows = orbit_closed_form_checks(f7)
     assert all(row.count == 0 for row in rows)
     assert all(row.passed for row in rows)
+
+
+def test_orbit_rows_are_the_fourteen_orbits(f13):
+    rows = orbit_closed_form_checks(f13)
+    reps = sorted(o.rep for o in enumerate_orbit_classes(6, 6, (1,) * 6))
+    assert [row.name for row in rows] == [f"orbit-{rep}" for rep in reps]
+    assert len(rows) == 14
+    for row in rows:
+        assert row.count == len(valid_lambdas(f13, 6))
+        assert row.passed, row.line()
 
 
 def test_kernel_rows_run_even_on_singular_field(f7):
