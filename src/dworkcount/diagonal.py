@@ -192,8 +192,9 @@ class _ClassPlan:
         dlam = field.elem(self.d) * params.lam
         return field.unit_roots[(self.d * self.j * dlam.exp) % field.q1]
 
-    def gauss_averages(self, ws, tw: np.ndarray) -> Iterator[complex]:
-        """The Gauss average of each weight vector in ws, in order.
+    def ratios(self, ws) -> Iterator[np.ndarray]:
+        """prod_i g(omega**(w_i t + h_i j)) / g(omega**(d j)) over j for each
+        weight vector in ws, in order: the lambda-free part of its average.
 
         Each numerator is the left-to-right product of its Gauss rows,
         starting from ones; the factors a vector shares as a prefix with
@@ -210,11 +211,16 @@ class _ClassPlan:
             for wi, hi in zip(w[k:], self.h[k:]):
                 partial.append(partial[-1] * self.rows[wi % self.d, hi])
             prev = w
-            yield complex(np.add.reduce(partial[-1] / self.den * tw) / q1)
+            yield partial[-1] / self.den
+
+    def gauss_averages(self, ws, tw: np.ndarray) -> Iterator[complex]:
+        """The Gauss average of each weight vector in ws, in order."""
+        q1 = len(self.j)
+        for ratio in self.ratios(ws):
+            yield complex(np.add.reduce(ratio * tw) / q1)
 
 
-def _class_plan(params: DiagonalParams) -> _ClassPlan:
-    field, d, h = params.field, params.d, params.h
+def _class_plan(field: FqField, d: int, h: tuple[int, ...]) -> _ClassPlan:
     return field.plan(("koblitz", d, h), lambda: _ClassPlan(field, d, h))
 
 
@@ -234,7 +240,7 @@ def class_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     The product is only meaningful as a whole; any member of the class gives
     the same value, since shifting w by h reindexes j.
     """
-    plan = _class_plan(params)
+    plan = _class_plan(params.field, params.d, params.h)
     return next(plan.gauss_averages([w], plan.twist(params)))
 
 
@@ -244,10 +250,32 @@ def class_contribution(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     return _weil_sum(params.field, params.d, members) + class_gauss_average(params, w)
 
 
+def class_gauss_average_by_dlog(
+    field: FqField, d: int, h: tuple[int, ...], w: tuple[int, ...]
+) -> np.ndarray:
+    """class_gauss_average for every lam != 0: entry e is the average at
+    lam = g**e.  The twist omega**(d j)(d lam) makes the average entry
+    d * dlog(d lam) of one inverse DFT of the lambda-free ratio row; the
+    singular fibre is included, since the formula itself does not exclude it."""
+    if d < 1 or field.q1 % d != 0:
+        raise BadDegreeError(f"degree {d} does not divide q-1 = {field.q1}")
+    averages = np.fft.ifft(next(_class_plan(field, d, h).ratios([w])))
+    dlam = int(field.elem(d).exp) + np.arange(field.q1)
+    return averages[(d * dlam) % field.q1]
+
+
+def class_contribution_by_dlog(
+    field: FqField, d: int, h: tuple[int, ...], w: tuple[int, ...]
+) -> np.ndarray:
+    """class_contribution for every lam != 0, indexed by dlog lam."""
+    weil = _weil_sum(field, d, class_members(d, h, w))
+    return weil + class_gauss_average_by_dlog(field, d, h, w)
+
+
 def koblitz_total(params: DiagonalParams) -> complex:
     """The projective point count of the deformed diagonal hypersurface,
     summed class by class, before integer rounding."""
-    plan = _class_plan(params)
+    plan = _class_plan(params.field, params.d, params.h)
     averages = plan.gauss_averages(plan.reps, plan.twist(params))
     total = 0j
     for weil, average in zip(plan.weil_sums(params.field), averages):

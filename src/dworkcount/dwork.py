@@ -22,6 +22,7 @@ import numpy as np
 from .characters import (
     MultChar,
     char_at_minus_one,
+    char_vector,
     jacobi,
     norm_jacobi,
 )
@@ -34,7 +35,15 @@ from .errors import (
     PreconditionError,
 )
 from .field import FqElem, FqField
-from .hypergeometric import GreeneParams, McCarthyParams, greene_F, mccarthy_F, reduce_params
+from .hypergeometric import (
+    GreeneParams,
+    McCarthyParams,
+    greene_F,
+    greene_F_by_dlog,
+    mccarthy_F,
+    mccarthy_F_by_dlog,
+    reduce_params,
+)
 
 
 # Each closed form is (q**(d-1) - 1)/(q - 1) plus one term per row, added in
@@ -128,21 +137,45 @@ def closed_form_constants(field: FqField, d: int) -> tuple[complex, ...]:
     return field.plan(("closed-form", d), build)
 
 
-def closed_form_term(params: DworkParams, row, coef: int) -> complex:
-    """One row of CLOSED_FORMS[params.degree], with coef in place of the
-    row's coefficient, multiplied left to right: coef * q**power, then each
-    constant, then the hypergeometric value."""
-    field, d, t = params.field, params.degree, params.t
+def _closed_form_row(field: FqField, d: int, row, coef: int):
+    """coef * q**power times each indexed constant, left to right, and the
+    row's upper and lower characters (None for a w2(1 - lam**d) row)."""
+    t = field.q1 // d
     _, _, power, consts, upper, lower = row
     constants = closed_form_constants(field, d)
     value = coef * field.q**power
     for i in consts:
         value = value * constants[i]
     if upper is None:
-        return value * MultChar(field, field.q1 // 2)(field.one - params.lam**d)
+        return value, None, None
     up = tuple(MultChar(field, k * t) for k in upper)
     lo = tuple(MultChar(field, k * t) for k in lower)
+    return value, up, lo
+
+
+def closed_form_term(params: DworkParams, row, coef: int) -> complex:
+    """One row of CLOSED_FORMS[params.degree], with coef in place of the
+    row's coefficient, multiplied left to right: coef * q**power, then each
+    constant, then the hypergeometric value."""
+    field, d = params.field, params.degree
+    value, up, lo = _closed_form_row(field, d, row, coef)
+    if up is None:
+        return value * MultChar(field, field.q1 // 2)(field.one - params.lam**d)
     return value * greene_F(GreeneParams(up, lo, (params.lam**d).inverse()))
+
+
+def closed_form_term_by_dlog(field: FqField, d: int, row, coef: int) -> np.ndarray:
+    """closed_form_term for every lam != 0: entry e is the term at lam = g**e.
+    The hypergeometric value comes from one vector over dlog x, read at
+    x = 1/lam**d; the sextic-power locus lam**d = 1 is included."""
+    if field.q1 % d != 0:
+        raise BadModulusError(f"q = {field.q} is not 1 mod {d}")
+    value, up, lo = _closed_form_row(field, d, row, coef)
+    dlam = d * np.arange(field.q1)
+    if up is None:
+        one_minus = field.one_minus_table[field.exp_table[dlam % field.q1]]
+        return value * char_vector(field, field.q1 // 2)[one_minus]
+    return value * greene_F_by_dlog(up, lo)[-dlam % field.q1]
 
 
 def greene_total(params: DworkParams) -> complex:
@@ -250,6 +283,19 @@ def gamma_s(field: FqField, elem: KernelElement) -> complex:
     return prod
 
 
+def _miyatani_params(field: FqField, elem: KernelElement, x: FqElem):
+    """q**(delta - 1) and the reduced parameters of one kernel class at x."""
+    q1 = field.q1
+    t = q1 // 6
+    if any(si % t for si in elem.s) or elem.total % 6:
+        raise BadWeightError("kernel exponents must be multiples of (q-1)/6 with sum 0 mod 6")
+    base = elem.total // 6
+    upper = tuple(MultChar(field, base + i * t) for i in range(6))
+    lower = tuple(MultChar(field, si) for si in elem.s)
+    delta = 1 if elem.total % q1 == 0 else 0
+    return field.q ** (delta - 1), reduce_params(McCarthyParams(upper, lower, x))
+
+
 def miyatani_F_s(field: FqField, elem: KernelElement, lam: FqElem) -> complex:
     """The reduced Gauss-sum-normalized value attached to one kernel class:
 
@@ -262,17 +308,15 @@ def miyatani_F_s(field: FqField, elem: KernelElement, lam: FqElem) -> complex:
         raise MixedFieldsError("lambda lives in a different field")
     if lam.is_zero:
         raise BadLambdaError("the kernel route needs lambda != 0")
-    q1 = field.q1
-    t = q1 // 6
-    if any(si % t for si in elem.s) or elem.total % 6:
-        raise BadWeightError("kernel exponents must be multiples of (q-1)/6 with sum 0 mod 6")
-    base = elem.total // 6
-    upper = tuple(MultChar(field, base + i * t) for i in range(6))
-    lower = tuple(MultChar(field, si) for si in elem.s)
-    x = (lam**6).inverse()
-    delta = 1 if elem.total % q1 == 0 else 0
-    reduced = reduce_params(McCarthyParams(upper, lower, x))
-    return field.q ** (delta - 1) * mccarthy_F(reduced)
+    scale, reduced = _miyatani_params(field, elem, (lam**6).inverse())
+    return scale * mccarthy_F(reduced)
+
+
+def miyatani_F_s_by_dlog(field: FqField, elem: KernelElement) -> np.ndarray:
+    """miyatani_F_s for every lam != 0: entry u is the value at 1/lam**6 = g**u."""
+    # the reduced characters do not depend on x, so x = 1 stands for every x
+    scale, reduced = _miyatani_params(field, elem, field.one)
+    return scale * mccarthy_F_by_dlog(reduced.upper, reduced.lower)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ normalization takes equal-length parameter lists and divides shifted Gauss
 sums by unshifted ones.  reduce_params cancels matching upper/lower
 parameters, and mccarthy_to_greene converts a value of the second kind with
 trivial leading lower parameter into the first normalization.
+mccarthy_F_by_dlog and greene_F_by_dlog give a value at every nonzero
+argument at once, for the identity suite.
 """
 
 from __future__ import annotations
@@ -25,10 +27,23 @@ from .errors import BadParamsError, MixedFieldsError, PreconditionError
 from .field import FqElem, FqField
 
 
-def _check_one_field(chars, x: FqElem) -> None:
+def _one_field(chars) -> FqField:
     field = chars[0].field
-    if any(c.field is not field for c in chars) or x.field is not field:
+    if any(c.field is not field for c in chars):
         raise MixedFieldsError("parameters live on different fields")
+    return field
+
+
+def _check_greene(upper, lower) -> FqField:
+    if len(upper) < 2 or len(lower) != len(upper) - 1:
+        raise BadParamsError("need n+1 upper and n lower parameters, n >= 1")
+    return _one_field(tuple(upper) + tuple(lower))
+
+
+def _check_mccarthy(upper, lower) -> FqField:
+    if not upper or len(upper) != len(lower):
+        raise BadParamsError("upper and lower lists must have equal positive length")
+    return _one_field(tuple(upper) + tuple(lower))
 
 
 @dataclass(frozen=True)
@@ -40,9 +55,8 @@ class GreeneParams:
     x: FqElem
 
     def __post_init__(self):
-        if len(self.upper) < 2 or len(self.lower) != len(self.upper) - 1:
-            raise BadParamsError("need n+1 upper and n lower parameters, n >= 1")
-        _check_one_field(self.upper + self.lower, self.x)
+        if _check_greene(self.upper, self.lower) is not self.x.field:
+            raise MixedFieldsError("parameters live on different fields")
 
     @property
     def field(self) -> FqField:
@@ -62,9 +76,8 @@ class McCarthyParams:
     x: FqElem
 
     def __post_init__(self):
-        if not self.upper or len(self.upper) != len(self.lower):
-            raise BadParamsError("upper and lower lists must have equal positive length")
-        _check_one_field(self.upper + self.lower, self.x)
+        if _check_mccarthy(self.upper, self.lower) is not self.x.field:
+            raise MixedFieldsError("parameters live on different fields")
 
     @property
     def field(self) -> FqField:
@@ -73,6 +86,13 @@ class McCarthyParams:
     @property
     def m(self) -> int:
         return len(self.upper)
+
+
+def _greene_chi_coefficients(field: FqField, upper, lower) -> np.ndarray:
+    """prod_i (A_i omega**j; B_i omega**j) for j = 0..q-2, with B_0 = eps:
+    the lambda-free coefficients of the character sum."""
+    rows = jacobi_rows(field, [a.k for a in upper], [0] + [b.k for b in lower])
+    return np.prod(rows, axis=0)
 
 
 def greene_F_chi_sum(params: GreeneParams) -> complex:
@@ -86,11 +106,20 @@ def greene_F_chi_sum(params: GreeneParams) -> complex:
     if params.x.is_zero:
         return 0j
     field = params.field
-    rows = jacobi_rows(
-        field, [a.k for a in params.upper], [0] + [b.k for b in params.lower]
-    )
+    coeffs = _greene_chi_coefficients(field, params.upper, params.lower)
     chi_x = field.unit_roots[(np.arange(field.q1) * params.x.exp) % field.q1]
-    return complex(field.q / field.q1 * (np.prod(rows, axis=0) @ chi_x))
+    return complex(field.q / field.q1 * (coeffs @ chi_x))
+
+
+def _greene_2f1_factors(field: FqField, upper, lower):
+    """The lambda-free parts of the n = 1 average: the sign (A_1 B_1)(-1),
+    and over element ids y, A_1(y) * (conj(A_1) B_1)(1-y) and conj(A_0)(1-y)."""
+    a0, a1 = upper
+    b1 = lower[0]
+    v1 = a1.value_vector()
+    v2 = (a1.conj() * b1).value_vector()[field.one_minus_table]
+    v3 = a0.conj().value_vector()[field.one_minus_table]
+    return char_at_minus_one(field, a1.k + b1.k), v1, v2, v3
 
 
 def _greene_2f1_average(params: GreeneParams) -> complex:
@@ -102,16 +131,11 @@ def _greene_2f1_average(params: GreeneParams) -> complex:
     if x.is_zero:
         return 0j
     field = params.field
-    a0, a1 = params.upper
-    b1 = params.lower[0]
-    v1 = a1.value_vector()
-    v2 = (a1.conj() * b1).value_vector()[field.one_minus_table]
+    sign, v1, v2, v3 = _greene_2f1_factors(field, params.upper, params.lower)
     ids = np.arange(field.q, dtype=np.int64)
     xy = np.zeros(field.q, dtype=np.int64)
     xy[1:] = field.exp_table[(field.dlog_table[ids[1:]] + x.exp) % field.q1]
-    v3 = a0.conj().value_vector()[field.one_minus_table[xy]]
-    sign = char_at_minus_one(field, a1.k + b1.k)
-    return sign / field.q * complex(v1 @ (v2 * v3))
+    return sign / field.q * complex(v1 @ (v2 * v3[xy]))
 
 
 def greene_F(params: GreeneParams) -> complex:
@@ -120,6 +144,20 @@ def greene_F(params: GreeneParams) -> complex:
     if params.n == 1:
         return _greene_2f1_average(params)
     return greene_F_chi_sum(params)
+
+
+def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
+    """prod_i [g(A_i omega**j)/g(A_i)][g(conj(B_i omega**j))/g(conj(B_i))] for
+    j = 0..q-2: the lambda-free coefficients of the Gauss-sum normalization."""
+    q1 = field.q1
+    g = field.gauss_table
+    j = np.arange(q1, dtype=np.int64)
+    acc = np.ones(q1, dtype=np.complex128)
+    for a in upper:
+        acc = acc * g[(a.k + j) % q1] / g[a.k]
+    for b in lower:
+        acc = acc * g[(-b.k - j) % q1] / g[(-b.k) % q1]
+    return acc
 
 
 def mccarthy_F(params: McCarthyParams) -> complex:
@@ -132,16 +170,45 @@ def mccarthy_F(params: McCarthyParams) -> complex:
         return 0j
     field = params.field
     q1 = field.q1
-    g = field.gauss_table
+    acc = _mccarthy_coefficients(field, params.upper, params.lower)
     j = np.arange(q1, dtype=np.int64)
-    acc = np.ones(q1, dtype=np.complex128)
-    for a in params.upper:
-        acc = acc * g[(a.k + j) % q1] / g[a.k]
-    for b in params.lower:
-        acc = acc * g[(-b.k - j) % q1] / g[(-b.k) % q1]
     minus_one = int(field.dlog_table[field.neg_table[1]])
     twist = (params.m * minus_one + params.x.exp) % q1
     return complex(-(acc @ field.unit_roots[(j * twist) % q1]) / q1)
+
+
+# -- every nonzero argument at once ----------------------------------------
+#
+# Each value above is sum_j c[j] * omega**j(x) with c free of x, so one
+# inverse DFT of c gives the value at every x != 0, indexed by dlog x.  The
+# single-x functions keep their own contraction, so the counting routes
+# round exactly as before.
+
+
+def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
+    """mccarthy_F(upper; lower; x) for every x != 0: entry u is the value at
+    x = g**u."""
+    field = _check_mccarthy(upper, lower)
+    q1 = field.q1
+    j = np.arange(q1, dtype=np.int64)
+    minus_one = int(field.dlog_table[field.neg_table[1]])
+    twist = field.unit_roots[(j * len(upper) * minus_one) % q1]
+    return -np.fft.ifft(_mccarthy_coefficients(field, upper, lower) * twist)
+
+
+def greene_F_by_dlog(upper, lower) -> np.ndarray:
+    """greene_F(upper; lower; x) for every x != 0: entry u is the value at
+    x = g**u.  For n >= 2 this is the character sum; for n = 1 the average
+    over y is a correlation over the cyclic group of dlogs, sum_a f(a) h(a+u)
+    with f = A_1(y) (conj(A_1) B_1)(1-y) and h = conj(A_0)(1-z)."""
+    field = _check_greene(upper, lower)
+    if len(lower) >= 2:
+        return field.q * np.fft.ifft(_greene_chi_coefficients(field, upper, lower))
+    sign, v1, v2, v3 = _greene_2f1_factors(field, upper, lower)
+    f = (v1 * v2)[field.exp_table]
+    # sum_a f(a) h(a+u) is the convolution of f(-a) with h
+    spectra = np.fft.fft([np.roll(f[::-1], 1), v3[field.exp_table]], axis=1)
+    return sign / field.q * np.fft.ifft(spectra[0] * spectra[1])
 
 
 def reduce_params(params: McCarthyParams) -> McCarthyParams:

@@ -9,10 +9,12 @@ from dworkcount.diagonal import (
     DiagonalParams,
     class_contribution,
     class_gauss_average,
+    class_gauss_average_by_dlog,
     class_members,
     enumerate_orbit_classes,
     koblitz_total,
     weil_point_count,
+    _shift_classes,
     _weight_vectors,
 )
 from dworkcount.errors import (
@@ -136,6 +138,24 @@ def test_class_gauss_average_member_independence(f13):
         assert max(abs(v - values[0]) for v in values) < 1e-9 * f13.q ** (params.n / 2)
         plain = class_gauss_average(params, w)
         assert abs(values[0] - plain) < 1e-12
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (37, 1)])
+def test_class_gauss_average_by_dlog_matches_every_fibre(p, e):
+    field = FqField(p, e)
+    h = (1,) * 6
+    fibres = [DiagonalParams(field, 6, h, lam) for lam in valid_lambdas(field, 6)]
+    for rep, _ in _shift_classes(6, 6, h):
+        values = class_gauss_average_by_dlog(field, 6, h, rep)
+        assert values.shape == (field.q1,)
+        for params in fibres:
+            single = class_gauss_average(params, rep)
+            assert abs(values[params.lam.exp] - single) < 1e-9 * field.q**3, (rep, params.lam)
+
+
+def test_class_gauss_average_by_dlog_guard(f13):
+    with pytest.raises(BadDegreeError):
+        class_gauss_average_by_dlog(f13, 5, (1,) * 5, (0,) * 5)
 
 
 def test_permuted_classes_contribute_equally(f13):

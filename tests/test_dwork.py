@@ -26,12 +26,14 @@ from dworkcount.dwork import (
     DworkParams,
     KernelElement,
     closed_form_term,
+    closed_form_term_by_dlog,
     enumerate_kernel,
     gamma_s,
     greene_total,
     kernel_matrix,
     miyatani_dwork6_total,
     miyatani_F_s,
+    miyatani_F_s_by_dlog,
     miyatani_preflight,
     smith_normal_form,
 )
@@ -380,3 +382,34 @@ def test_closed_form_rows_sum_their_orbits(f11, f13):
                 if label == (0,) * degree:
                     value += main
                 assert abs(class_contribution(diag, label) - value) < 1e-6 * field.q**degree
+
+
+@pytest.mark.parametrize(
+    "d, p, e", [(4, 13, 1), (4, 5, 2), (4, 37, 1), (5, 11, 1), (5, 31, 1),
+                (6, 13, 1), (6, 5, 2), (6, 37, 1)]
+)
+def test_closed_form_terms_by_dlog_match_every_fibre(d, p, e):
+    field = FqField(p, e)
+    fibres = [DworkParams(field, d, lam) for lam in valid_lambdas(field, d)]
+    for row in CLOSED_FORMS[d]:
+        values = closed_form_term_by_dlog(field, d, row, row[1])
+        assert values.shape == (field.q1,)
+        for params in fibres:
+            single = closed_form_term(params, row, row[1])
+            assert abs(values[params.lam.exp] - single) < 1e-9 * abs(row[1]) * field.q ** row[2]
+
+
+def test_closed_form_terms_by_dlog_guard(f11):
+    with pytest.raises(BadModulusError):
+        closed_form_term_by_dlog(f11, 6, CLOSED_FORMS[6][1], 1)
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (37, 1)])
+def test_miyatani_values_by_dlog_match_every_lambda(p, e):
+    field = FqField(p, e)
+    classes = {tuple(sorted(elem.s)): elem for elem in enumerate_kernel(field)}
+    for elem in classes.values():
+        values = miyatani_F_s_by_dlog(field, elem)
+        for lam in field.units():
+            single = miyatani_F_s(field, elem, lam)
+            assert abs(values[(-6 * lam.exp) % field.q1] - single) < 1e-9, (elem, lam)

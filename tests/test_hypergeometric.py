@@ -7,16 +7,22 @@ from dworkcount.characters import (
     norm_jacobi,
     trivial_char,
 )
-from dworkcount.errors import BadParamsError, PreconditionError
+from dworkcount.errors import BadParamsError, MixedFieldsError, PreconditionError
+from dworkcount.field import FqElem, FqField
 from dworkcount.hypergeometric import (
     GreeneParams,
     McCarthyParams,
     greene_F,
+    greene_F_by_dlog,
     greene_F_chi_sum,
     mccarthy_F,
+    mccarthy_F_by_dlog,
     mccarthy_to_greene,
     reduce_params,
 )
+
+# fields for the every-argument vectors: prime, e = 2, and a larger prime
+ALL_X_FIELDS = [(13, 1), (5, 2), (37, 1)]
 
 
 def raw_greene(params):
@@ -273,3 +279,54 @@ def test_bridge_preconditions(f13):
                 x=f13.one,
             )
         )
+
+
+@pytest.mark.parametrize("p, e", ALL_X_FIELDS)
+def test_mccarthy_by_dlog_matches_every_argument(p, e):
+    field = FqField(p, e)
+    # odd m with a nonzero dlog(-1) twist, m = 1, and lists reduce_params shortens
+    cases = [((1, 5, 2), (1, 0, 3)), ((4, 7), (0, 9)), ((3,), (0,)), ((2, 2, 9, 5), (2, 0, 6, 6))]
+    for ku, kl in cases:
+        up = tuple(MultChar(field, k) for k in ku)
+        lo = tuple(MultChar(field, k) for k in kl)
+        full = McCarthyParams(up, lo, field.one)
+        for params in (full, reduce_params(full)):
+            values = mccarthy_F_by_dlog(params.upper, params.lower)
+            assert values.shape == (field.q1,)
+            for u in range(field.q1):
+                x = FqElem(field, u)
+                single = mccarthy_F(McCarthyParams(params.upper, params.lower, x))
+                assert abs(values[u] - single) < 1e-9, (ku, kl, u)
+
+
+@pytest.mark.parametrize("p, e", ALL_X_FIELDS)
+def test_greene_by_dlog_matches_every_argument(p, e):
+    field = FqField(p, e)
+    # n = 1 (the explicit average, trivial characters included) and n >= 2
+    cases = [
+        ((1, 5), (0,)),
+        ((4, 7), (9,)),
+        ((0, 3), (3,)),
+        ((2, 6, 10), (0, 0)),
+        ((1, 3, 5, 7), (2, 7, 0)),
+    ]
+    for ku, kl in cases:
+        up = tuple(MultChar(field, k) for k in ku)
+        lo = tuple(MultChar(field, k) for k in kl)
+        values = greene_F_by_dlog(up, lo)
+        assert values.shape == (field.q1,)
+        for u in range(field.q1):
+            single = greene_F(GreeneParams(up, lo, FqElem(field, u)))
+            assert abs(values[u] - single) < 1e-9, (ku, kl, u)
+
+
+def test_by_dlog_guards(f13, f25):
+    a, b = MultChar(f13, 1), MultChar(f13, 2)
+    with pytest.raises(BadParamsError):
+        mccarthy_F_by_dlog((a, b), (b,))
+    with pytest.raises(BadParamsError):
+        greene_F_by_dlog((a,), ())
+    with pytest.raises(MixedFieldsError):
+        mccarthy_F_by_dlog((a,), (MultChar(f25, 1),))
+    with pytest.raises(MixedFieldsError):
+        greene_F_by_dlog((a, b), (MultChar(f25, 1),))

@@ -1,7 +1,27 @@
 """The bundled identity suite must be green on its own fields."""
 
-from dworkcount.diagonal import enumerate_orbit_classes
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dworkcount
+import dworkcount.verify as verify
+from dworkcount.characters import MultChar, char_at_minus_one, jacobi
+from dworkcount.diagonal import DiagonalParams, class_contribution, enumerate_orbit_classes
+from dworkcount.dwork import (
+    CLOSED_FORMS,
+    DworkParams,
+    KernelElement,
+    closed_form_term,
+    gamma_s,
+    miyatani_F_s,
+)
+from dworkcount.field import FqField
+from dworkcount.hypergeometric import McCarthyParams, mccarthy_F
 from dworkcount.verify import (
+    KERNEL_IDENTITIES,
     CheckResult,
     bridge_checks,
     gauss_sum_checks,
@@ -114,3 +134,127 @@ def test_bridge_rows(f13):
     assert len(rows) == 1
     assert rows[0].count == 200
     assert rows[0].passed
+
+
+# -- the per-lambda loops the vector checks replaced, kept as references ----
+
+
+def reference_kernel_identity_value(field, w, lam):
+    """The reduced closed form for the kernel class t*w at one lam."""
+    for label, sign, qpow, twist, jexps, upper, lower in KERNEL_IDENTITIES:
+        if label == w:
+            t = field.q1 // 6
+            x = (lam**6).inverse()
+            value = sign * field.q**qpow + 0j
+            if twist:
+                value *= char_at_minus_one(field, t)
+            if jexps is not None:
+                value *= jacobi(tuple(MultChar(field, k * t) for k in jexps))
+            up = tuple(MultChar(field, k * t) for k in upper)
+            lo = tuple(MultChar(field, k * t) for k in lower)
+            return value * mccarthy_F(McCarthyParams(up, lo, x))
+    raise KeyError(w)
+
+
+def reference_kernel_worst(field, lams):
+    t = field.q1 // 6
+    worst = {}
+    for label, *_ in KERNEL_IDENTITIES:
+        elem = KernelElement(tuple(t * wi for wi in label))
+        worst[f"kernel-{label}"] = max(
+            abs(gamma_s(field, elem) * miyatani_F_s(field, elem, lam)
+                - reference_kernel_identity_value(field, label, lam))
+            for lam in lams
+        )
+    return worst
+
+
+def reference_orbit_worst(field, lams):
+    sizes = {o.rep: o.size for o in enumerate_orbit_classes(6, 6, (1,) * 6)}
+    worst = dict.fromkeys(sorted(sizes), 0.0)
+    for lam in lams:
+        params = DworkParams(field, 6, lam)
+        forms = {
+            row[0]: closed_form_term(params, row, row[1] // sizes[row[0]])
+            for row in CLOSED_FORMS[6]
+        }
+        forms[(0,) * 6] = (field.q**5 - 1) // (field.q - 1) + forms[(0,) * 6]
+        diag = DiagonalParams(field, 6, (1,) * 6, lam)
+        for key, value in forms.items():
+            worst[key] = max(worst[key], abs(class_contribution(diag, key) - value))
+    return {f"orbit-{key}": res for key, res in worst.items()}
+
+
+def test_vector_checks_match_the_per_lambda_reference(f13, f25):
+    for field in (f13, f25):
+        for rows, lams, reference in [
+            (kernel_identity_checks(field), nonzero_lambdas(field), reference_kernel_worst),
+            (orbit_closed_form_checks(field), valid_lambdas(field, 6), reference_orbit_worst),
+        ]:
+            worst = reference(field, lams)
+            assert [row.name for row in rows] == list(worst)
+            for row in rows:
+                assert row.count == len(lams)
+                assert row.passed, row.line()
+                assert abs(row.residual - worst[row.name]) <= 1e-6 * row.tol, row.line()
+
+
+def test_checks_gather_at_the_requested_lambdas(monkeypatch):
+    # every lambda satisfies the identities, so a gather at the wrong index
+    # would still pass; plant a failure at one lambda's index instead
+    field = FqField(37)
+    lam, other = field.from_id(2), field.from_id(3)
+    assert (lam**6).exp not in (0, field.q1 // 2)
+    spike = 1e6
+
+    def spiked(function, index):
+        def wrapper(*args):
+            values = function(*args)
+            values[index] += spike
+            return values
+        return wrapper
+
+    lhs = spiked(verify.miyatani_F_s_by_dlog, (lam**6).inverse().exp)
+    monkeypatch.setattr(verify, "miyatani_F_s_by_dlog", lhs)
+    rows = kernel_identity_checks(field, [lam])
+    assert all(row.count == 1 and not row.passed for row in rows)
+    assert all(row.passed for row in kernel_identity_checks(field, [other]))
+
+    contribution = spiked(verify.class_contribution_by_dlog, lam.exp)
+    monkeypatch.setattr(verify, "class_contribution_by_dlog", contribution)
+    rows = orbit_closed_form_checks(field, [lam])
+    assert all(row.count == 1 and not row.passed for row in rows)
+    assert all(row.passed for row in orbit_closed_form_checks(field, [other]))
+
+
+def test_kernel_checks_compute_each_jacobi_constant_once(monkeypatch):
+    calls = []
+
+    def counted(chars):
+        calls.append(chars)
+        return jacobi(chars)
+
+    monkeypatch.setattr(verify, "jacobi", counted)
+    for q in (127, 13):
+        calls.clear()
+        rows = kernel_identity_checks(FqField(q))
+        # one call per row with Jacobi exponents, however many lambda
+        assert len(calls) == sum(row[4] is not None for row in KERNEL_IDENTITIES) == 7
+        assert all(row.passed for row in rows)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_verify_command_finishes_on_small_fields(p, e):
+    result = subprocess.run(
+        [sys.executable, "-m", "dworkcount.cli", "verify", "--p", str(p), "--e", str(e)],
+        capture_output=True, text=True, timeout=60,
+        cwd=Path(dworkcount.__file__).resolve().parents[1],
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    rows = sum(line.startswith("PASS ") for line in lines)
+    assert rows > 0
+    assert lines[-1] == f"{rows}/{rows} checks passed"
+    if p**e == 2:
+        assert "normalization-bridge" in result.stdout
+        assert "no nontrivial character" in result.stdout
