@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from .brute import dwork_polynomial, projective_count
+from .brute import dwork_counts_by_lambda
 from .characters import round_to_int
 from .diagonal import DiagonalParams, koblitz_total
 from .dwork import CLOSED_FORMS, DworkParams, greene_total, miyatani_dwork6_total
@@ -114,9 +114,8 @@ def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol:
             if field.q ** (degree - 1) > BRUTE_SKIP_POINTS:
                 report.counts[method] = "skipped"
                 continue
-            report.counts[method] = projective_count(
-                field, dwork_polynomial(field, degree, lam), degree
-            )
+            counts = field.plan(("brute", degree), lambda: dwork_counts_by_lambda(field, degree))
+            report.counts[method] = int(counts[lam.id])
         else:
             try:
                 value, residual = round_to_int(total(diag), tol)

@@ -22,6 +22,7 @@ from .characters import (
     MultChar,
     char_at_minus_one,
     jacobi_rows,
+    norm_jacobi,
 )
 from .errors import BadParamsError, MixedFieldsError, PreconditionError
 from .field import FqElem, FqField
@@ -88,11 +89,17 @@ class McCarthyParams:
         return len(self.upper)
 
 
-def _greene_chi_coefficients(field: FqField, upper, lower) -> np.ndarray:
-    """prod_i (A_i omega**j; B_i omega**j) for j = 0..q-2, with B_0 = eps:
-    the lambda-free coefficients of the character sum."""
-    rows = jacobi_rows(field, [a.k for a in upper], [0] + [b.k for b in lower])
-    return np.prod(rows, axis=0)
+def _greene_chi_rows(field: FqField, upper, lower) -> np.ndarray:
+    """Row i, entry j is (A_i omega**j; B_i omega**j) for j = 0..q-2, with
+    B_0 = eps: the product over rows is the lambda-free coefficient vector
+    of the character sum."""
+    return jacobi_rows(field, [a.k for a in upper], [0] + [b.k for b in lower])
+
+
+def _chi_sum(field: FqField, rows: np.ndarray, x: FqElem) -> complex:
+    """q/(q-1) * sum_j prod_i rows[i, j] * omega**j(x), for x != 0."""
+    chi_x = field.unit_roots[(np.arange(field.q1) * x.exp) % field.q1]
+    return complex(field.q / field.q1 * (np.prod(rows, axis=0) @ chi_x))
 
 
 def greene_F_chi_sum(params: GreeneParams) -> complex:
@@ -105,10 +112,8 @@ def greene_F_chi_sum(params: GreeneParams) -> complex:
     """
     if params.x.is_zero:
         return 0j
-    field = params.field
-    coeffs = _greene_chi_coefficients(field, params.upper, params.lower)
-    chi_x = field.unit_roots[(np.arange(field.q1) * params.x.exp) % field.q1]
-    return complex(field.q / field.q1 * (coeffs @ chi_x))
+    rows = _greene_chi_rows(params.field, params.upper, params.lower)
+    return _chi_sum(params.field, rows, params.x)
 
 
 def _greene_2f1_factors(field: FqField, upper, lower):
@@ -203,7 +208,8 @@ def greene_F_by_dlog(upper, lower) -> np.ndarray:
     with f = A_1(y) (conj(A_1) B_1)(1-y) and h = conj(A_0)(1-z)."""
     field = _check_greene(upper, lower)
     if len(lower) >= 2:
-        return field.q * np.fft.ifft(_greene_chi_coefficients(field, upper, lower))
+        coeffs = np.prod(_greene_chi_rows(field, upper, lower), axis=0)
+        return field.q * np.fft.ifft(coeffs)
     sign, v1, v2, v3 = _greene_2f1_factors(field, upper, lower)
     f = (v1 * v2)[field.exp_table]
     # sum_a f(a) h(a+u) is the convolution of f(-a) with h
@@ -240,20 +246,25 @@ def mccarthy_to_greene(params: McCarthyParams) -> complex:
 
         prod_i (A_i; B_i)**(-1) * F(A_0, ..., A_{m-1}; B_1, ..., B_{m-1}; x);
 
-    for m = 1 it is the closed form eps(x) * conj(A_0)(1 - x).
+    for m = 1 it is the closed form eps(x) * conj(A_0)(1 - x).  For m >= 3
+    one set of Jacobi rows gives both the character sum and, in its j = 0
+    column, the normalizations (A_i; B_i).
     """
     if not params.lower[0].is_trivial:
         raise PreconditionError("leading lower parameter must be trivial")
     a0 = params.upper[0]
     if a0.is_trivial:
         raise PreconditionError("leading upper parameter must be nontrivial")
-    if params.m == 1:
-        if params.x.is_zero:
-            return 0j
-        return a0.conj()(params.field.one - params.x)
     upper, lower = params.upper[1:], params.lower[1:]
     if any(a == b for a, b in zip(upper, lower)):
         raise PreconditionError("paired upper and lower parameters must differ")
-    rows = jacobi_rows(params.field, [a.k for a in upper], [b.k for b in lower])
-    value = greene_F(GreeneParams(params.upper, lower, params.x))
-    return complex(value / np.prod(rows[:, 0]))
+    field, x = params.field, params.x
+    if x.is_zero:
+        return 0j
+    if params.m == 1:
+        return a0.conj()(field.one - x)
+    if params.m == 2:
+        value = _greene_2f1_average(GreeneParams(params.upper, lower, x))
+        return complex(value / norm_jacobi(upper[0], lower[0]))
+    rows = _greene_chi_rows(field, params.upper, lower)
+    return complex(_chi_sum(field, rows, x) / np.prod(rows[1:, 0]))

@@ -113,10 +113,17 @@ def test_counts_by_lambda_sextic(f13):
         assert counts[lam_id] == 9810
     # the undeformed fibre agrees with the separate power-sum count
     assert counts[0] == 87570
-    # each fibre agrees with an independent single-fibre enumeration
-    for lam_id in (0, 1, 2, 4):
-        monos = dwork_polynomial(f13, 6, f13.from_id(lam_id))
-        assert counts[lam_id] == projective_count(f13, monos, 6)
+
+
+@pytest.mark.parametrize("degree, p, e", [(3, 13, 1), (4, 13, 1), (4, 5, 2), (5, 11, 1), (6, 13, 1)])
+def test_counts_by_lambda_match_single_fibre_enumeration(degree, p, e):
+    # the one-scan sort into fibres against the generic evaluator, fibre by
+    # fibre: lambda = 0, the singular fibres and every valid one
+    field = FqField(p, e)
+    counts = dwork_counts_by_lambda(field, degree)
+    for lam_id in range(field.q):
+        monos = dwork_polynomial(field, degree, field.from_id(lam_id))
+        assert counts[lam_id] == projective_count(field, monos, degree), lam_id
 
 
 def test_counts_by_lambda_quartic(f13):

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import dworkcount
+import dworkcount.brute as brute
+import dworkcount.cli as cli
 import dworkcount.diagonal as diagonal
 import dworkcount.dwork as dwork
 from dworkcount.cli import main, run_count
@@ -238,16 +240,46 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
     counted(diagonal, "weil_point_count")
     counted(dwork, "miyatani_preflight")
     counted(dwork, "jacobi")
-    field = FqField(61)
-    lams = valid_lambdas(field, 6)
-    for lam in lams:
-        report = run_count(field, 6, lam, ["koblitz", "greene", "miyatani"], 1e-3)
-        assert report.consistent
-    assert len(lams) == 54
-    # one Weil term per weight vector and one preflight for the whole sweep
-    assert calls == {"weil_point_count": 6**5, "miyatani_preflight": 1, "jacobi": 5}
+    counted(cli, "dwork_counts_by_lambda")
+    counted(brute, "projective_count")
+    cases = [
+        # one Weil term per weight vector and one preflight for the whole sweep
+        (61, 6, ["koblitz", "greene", "miyatani"], 54,
+         {"weil_point_count": 6**5, "miyatani_preflight": 1, "jacobi": 5}),
+        # one scan gives every brute count; no fibre is enumerated on its own
+        (31, 5, ["brute", "koblitz", "greene"], 25,
+         {"weil_point_count": 5**4, "dwork_counts_by_lambda": 1}),
+        # a sweep without enumeration builds no scan
+        (31, 5, ["koblitz"], 25, {"weil_point_count": 5**4}),
+    ]
+    for p, degree, methods, fibres, expected in cases:
+        calls.clear()
+        field = FqField(p)
+        lams = valid_lambdas(field, degree)
+        for lam in lams:
+            report = run_count(field, degree, lam, methods, 1e-3)
+            assert report.consistent
+        assert len(lams) == fibres
+        assert calls == expected, methods
 
-    ref = weakref.ref(field)
-    del field, lams, lam
-    gc.collect()
-    assert ref() is None
+        ref = weakref.ref(field)
+        del field, lams, lam
+        gc.collect()
+        assert ref() is None
+
+
+def test_brute_skip_marker_builds_no_scan(monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("enumeration started for a skipped count")
+
+    monkeypatch.setattr(cli, "dwork_counts_by_lambda", no_scan)
+    # 61**5 points exceed BRUTE_SKIP_POINTS
+    field = FqField(61, 1)
+    report = run_count(field, 6, field.elem(2), ["brute"], 1e-3)
+    assert report.counts == {"brute": "skipped"}
+    assert report.ms == {}
+    code, out, err = run_main(
+        capsys, "count", "--degree", "6", "--p", "61", "--lambda", "2", "--methods", "brute"
+    )
+    assert code == 0
+    assert json.loads(out)["counts"] == {"brute": "skipped"}
