@@ -106,7 +106,9 @@ def parse_lambda(field: FqField, text: str) -> FqElem:
 
 def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol: float) -> CountReport:
     report = CountReport(q=field.q, degree=degree, lam=_lambda_json(lam))
-    diag = DiagonalParams(field, degree, (1,) * degree, lam)
+    # enumeration counts every fibre; only the character routes need valid parameters
+    character = any(ROUTES[method][1] for method in methods)
+    diag = DiagonalParams(field, degree, (1,) * degree, lam) if character else None
     for method in methods:
         start = time.perf_counter()
         total = ROUTES[method][1]

@@ -79,15 +79,16 @@ def weil_point_count(field: FqField, d: int, n: int, w: tuple[int, ...]) -> comp
         raise BadWeightError("each w_i must lie in range(d)")
     if sum(w) % d != 0:
         raise BadWeightError("sum(w) must be 0 mod d")
-    t = field.q1 // d
-    if all(wi == 0 for wi in w):
-        return complex((field.q ** (n - 1) - 1) // (field.q - 1))
-    if any(wi == 0 for wi in w):
+    return _weil_term(field, field.gauss_table[:: field.q1 // d], w)
+
+
+def _weil_term(field: FqField, g, w: tuple[int, ...]) -> complex:
+    """weil_point_count for a valid w, given g[i] = g(omega**(i (q-1)/d))."""
+    if not any(w):
+        return complex((field.q ** (len(w) - 1) - 1) // (field.q - 1))
+    if not all(w):
         return 0j
-    prod = 1 + 0j
-    for wi in w:
-        prod *= field.gauss_table[(wi * t) % field.q1]
-    return prod / field.q
+    return math.prod((g[wi] for wi in w), start=1 + 0j) / field.q
 
 
 def _weight_vectors(d: int, n: int):
@@ -124,6 +125,15 @@ def _shift_classes(
             seen.update(members)
             classes.append((w, members))
     return tuple(classes)
+
+
+@functools.lru_cache(maxsize=None)
+def _weil_table(d: int, n: int, h: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each shift class, in class order, the members whose Weil term is
+    non-zero (every coordinate non-zero, or the zero vector), in member
+    order.  Depends on (d, n, h) only, so it is built once."""
+    classes = _shift_classes(d, n, h)
+    return tuple(tuple(v for v in members if all(v) or not any(v)) for _, members in classes)
 
 
 @dataclass(frozen=True)
@@ -173,17 +183,22 @@ class _ClassPlan:
         q1, t = field.q1, field.q1 // d
         g = field.gauss_table
         self.d, self.h = d, h
-        self.classes = _shift_classes(d, len(h), h)
-        self.reps = [rep for rep, _ in self.classes]
+        self.reps = [rep for rep, _ in _shift_classes(d, len(h), h)]
         self.j = np.arange(q1, dtype=np.int64)
         self.rows = {(wi, hi): g[(wi * t + hi * self.j) % q1] for wi in range(d) for hi in set(h)}
         self.den = g[(d * self.j) % q1]
         self._weil_sums: list[complex] | None = None
 
     def weil_sums(self, field: FqField) -> list[complex]:
-        """Summed Weil terms of each class, in class order."""
+        """Summed Weil terms of each class, in class and member order."""
         if self._weil_sums is None:
-            self._weil_sums = [_weil_sum(field, self.d, members) for _, members in self.classes]
+            g = list(field.gauss_table[:: field.q1 // self.d])
+            self._weil_sums = []
+            for members in _weil_table(self.d, len(self.h), self.h):
+                total = 0j
+                for v in members:
+                    total += _weil_term(field, g, v)
+                self._weil_sums.append(total)
         return self._weil_sums
 
     def twist(self, params: "DiagonalParams") -> np.ndarray:

@@ -14,7 +14,9 @@ auxiliary terms) instead of assuming them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,7 @@ from .field import FqElem, FqField
 from .hypergeometric import (
     GreeneParams,
     McCarthyParams,
+    _mccarthy_value,
     greene_F,
     greene_F_by_dlog,
     mccarthy_F,
@@ -260,6 +263,16 @@ class KernelElement:
         return sum(self.s)
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_pattern() -> tuple[tuple, tuple, tuple[int, ...]]:
+    """The kernel in units of t = (q-1)/6, in lexicographic order; the first
+    pattern of each distinct sorted key; each pattern's index into the keys."""
+    pattern = tuple((0,) + w for w in itertools.product(range(6), repeat=5) if sum(w) % 6 == 0)
+    first: dict[tuple[int, ...], int] = {}
+    index = tuple(first.setdefault(tuple(sorted(w)), len(first)) for w in pattern)
+    return pattern, tuple(pattern[index.index(i)] for i in range(len(first))), index
+
+
 def enumerate_kernel(field: FqField, degree: int = 6) -> list[KernelElement]:
     """All 6**4 canonical kernel-class representatives."""
     if degree != 6:
@@ -267,11 +280,7 @@ def enumerate_kernel(field: FqField, degree: int = 6) -> list[KernelElement]:
     if field.q1 % 6 != 0:
         raise BadModulusError(f"q = {field.q} is not 1 mod 6")
     t = field.q1 // 6
-    out = []
-    for w in itertools.product(range(6), repeat=5):
-        if sum(w) % 6 == 0:
-            out.append(KernelElement((0,) + tuple(t * wi for wi in w)))
-    return out
+    return [KernelElement(tuple(t * wi for wi in w)) for w in _kernel_pattern()[0]]
 
 
 def gamma_s(field: FqField, elem: KernelElement) -> complex:
@@ -345,29 +354,13 @@ class MiyataniPreflight:
         )
 
 
-def miyatani_preflight(field: FqField) -> MiyataniPreflight:
-    """Check every condition the degree-6 kernel route relies on."""
-    q1 = field.q1
-    modulus_ok = q1 % 6 == 0
-    chain = smith_normal_form(kernel_matrix(6))
-    expected = 1
-    for d in chain:
-        if d:
-            expected *= d
-    if modulus_ok:
-        kernel = enumerate_kernel(field)
-        t = q1 // 6
-        coords_ok = all(
-            all(si % t == 0 for si in e.s) and e.total % 6 == 0 and e.total % q1 == 0
-            for e in kernel
-        )
-        size = len(kernel)
-    else:
-        coords_ok = False
-        size = 0
+@functools.lru_cache(maxsize=None)
+def _preflight_structure() -> tuple[tuple[int, ...], tuple[int, ...], bool, bool]:
+    """The q-free part of the preflight: the divisor chain of kernel_matrix(6),
+    the subset matrices' elementary divisors, and the u and d vanishing flags."""
     # exponent matrix of the six diagonal monomials, no shift
     a = (6 * np.eye(6, dtype=np.int64)).tolist()
-    subset_ok = True
+    divisors: set[int] = set()
     u_ok = True
     d_count = 0
     for k in (3, 4, 5, 6):
@@ -377,7 +370,7 @@ def miyatani_preflight(field: FqField) -> MiyataniPreflight:
             ]
             sigma = len(support)
             stacked = [[a[j][i] for i in support] for j in cols] + [[1] * sigma]
-            subset_ok &= all(d == 0 or q1 % d == 0 for d in smith_normal_form(stacked))
+            divisors.update(smith_normal_form(stacked))
             if k <= 5:
                 # a subset contributes only via tuples with exactly 6 - 2i
                 # nontrivial components, i = 0, ..., k - sigma; impossible
@@ -387,47 +380,68 @@ def miyatani_preflight(field: FqField) -> MiyataniPreflight:
                 any(a[i][j] >= 1 for j in range(6) if j not in cols) for i in range(6)
             ):
                 d_count += 1
+    return smith_normal_form(kernel_matrix(6)), tuple(sorted(divisors)), u_ok, d_count == 0
+
+
+def miyatani_preflight(field: FqField) -> MiyataniPreflight:
+    """Check every condition the degree-6 kernel route relies on; per field
+    only divisibility by q - 1 and the kernel's coordinates are checked."""
+    q1 = field.q1
+    chain, divisors, u_ok, d_ok = _preflight_structure()
+    modulus_ok = q1 % 6 == 0
+    kernel = enumerate_kernel(field) if modulus_ok else []
+    t = q1 // 6
+    coords_ok = modulus_ok and all(
+        all(si % t == 0 for si in e.s) and e.total % 6 == 0 and e.total % q1 == 0 for e in kernel
+    )
     return MiyataniPreflight(
         q=field.q,
         modulus_ok=modulus_ok,
         divisor_chain=chain,
-        kernel_size=size,
-        kernel_size_ok=size == expected == 6**4,
+        kernel_size=len(kernel),
+        kernel_size_ok=len(kernel) == math.prod(d for d in chain if d) == 6**4,
         coords_ok=coords_ok,
-        subset_divisors_ok=subset_ok,
+        subset_divisors_ok=all(d == 0 or q1 % d == 0 for d in divisors),
         u_vanishes=u_ok,
-        d_vanishes=d_count == 0,
+        d_vanishes=d_ok,
     )
 
 
-def _miyatani_plan(field: FqField) -> tuple[MiyataniPreflight, list[KernelElement]]:
-    """The preflight report and, when it passes, the kernel: both depend on
-    q only, so each field builds them once."""
+def _miyatani_plan(field: FqField) -> tuple[MiyataniPreflight, list, tuple[int, ...]]:
+    """The preflight report and, when it passes, gamma(s), q**(delta - 1) and
+    the reduced exponents of each distinct sorted key, and each element's
+    index into the keys: ints and scalars only, no reference to the field."""
 
     def build():
         report = miyatani_preflight(field)
-        return report, enumerate_kernel(field) if report.ok else []
+        if not report.ok:
+            return report, [], ()
+        t = field.q1 // 6
+        _, reps, index = _kernel_pattern()
+        terms = []
+        for w in reps:
+            elem = KernelElement(tuple(t * wi for wi in w))
+            scale, reduced = _miyatani_params(field, elem, field.one)  # free of x
+            exps = [tuple(c.k for c in chars) for chars in (reduced.upper, reduced.lower)]
+            terms.append((gamma_s(field, elem), scale, *exps))
+        return report, terms, index
 
     return field.plan(("miyatani",), build)
 
 
 def miyatani_dwork6_total(params: DworkParams) -> complex:
     """Kernel-route count: (q**5 - 1)/(q - 1) minus the sum of gamma(s) F(s)
-    over all 6**4 kernel classes, before rounding."""
+    over all 6**4 kernel classes, in kernel order, before rounding; each
+    distinct sorted key is evaluated once, as miyatani_F_s does."""
     if params.degree != 6:
         raise BadDegreeError("the kernel route covers degree 6 only")
     field = params.field
-    report, kernel = _miyatani_plan(field)
+    report, terms, index = _miyatani_plan(field)
     if not report.ok:
         raise PreconditionError(f"kernel-route preconditions failed: {report}")
-    cache: dict[tuple[int, ...], complex] = {}
+    x = (params.lam**6).inverse().exp
+    values = [gam * (scale * _mccarthy_value(field, up, lo, x)) for gam, scale, up, lo in terms]
     total = 0j
-    for elem in kernel:
-        key = tuple(sorted(elem.s))
-        val = cache.get(key)
-        if val is None:
-            val = gamma_s(field, elem) * miyatani_F_s(field, elem, params.lam)
-            cache[key] = val
-        total += val
+    for i in index:
+        total += values[i]
     return (field.q**5 - 1) // (field.q - 1) - total
-

@@ -153,16 +153,27 @@ def greene_F(params: GreeneParams) -> complex:
 
 def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
     """prod_i [g(A_i omega**j)/g(A_i)][g(conj(B_i omega**j))/g(conj(B_i))] for
-    j = 0..q-2: the lambda-free coefficients of the Gauss-sum normalization."""
+    j = 0..q-2, with A_i = omega**upper[i] and B_i = omega**lower[i]: the
+    lambda-free coefficients of the Gauss-sum normalization."""
     q1 = field.q1
     g = field.gauss_table
     j = np.arange(q1, dtype=np.int64)
     acc = np.ones(q1, dtype=np.complex128)
     for a in upper:
-        acc = acc * g[(a.k + j) % q1] / g[a.k]
+        acc = acc * g[(a + j) % q1] / g[a]
     for b in lower:
-        acc = acc * g[(-b.k - j) % q1] / g[(-b.k) % q1]
+        acc = acc * g[(-b - j) % q1] / g[(-b) % q1]
     return acc
+
+
+def _mccarthy_value(field: FqField, upper, lower, x_exp: int) -> complex:
+    """mccarthy_F at x = g**x_exp for the exponent lists upper and lower."""
+    q1 = field.q1
+    acc = _mccarthy_coefficients(field, upper, lower)
+    j = np.arange(q1, dtype=np.int64)
+    minus_one = int(field.dlog_table[field.neg_table[1]])
+    twist = (len(upper) * minus_one + x_exp) % q1
+    return complex(-(acc @ field.unit_roots[(j * twist) % q1]) / q1)
 
 
 def mccarthy_F(params: McCarthyParams) -> complex:
@@ -173,13 +184,8 @@ def mccarthy_F(params: McCarthyParams) -> complex:
     """
     if params.x.is_zero:
         return 0j
-    field = params.field
-    q1 = field.q1
-    acc = _mccarthy_coefficients(field, params.upper, params.lower)
-    j = np.arange(q1, dtype=np.int64)
-    minus_one = int(field.dlog_table[field.neg_table[1]])
-    twist = (params.m * minus_one + params.x.exp) % q1
-    return complex(-(acc @ field.unit_roots[(j * twist) % q1]) / q1)
+    upper = [a.k for a in params.upper]
+    return _mccarthy_value(params.field, upper, [b.k for b in params.lower], params.x.exp)
 
 
 # -- every nonzero argument at once ----------------------------------------
@@ -198,7 +204,8 @@ def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
     j = np.arange(q1, dtype=np.int64)
     minus_one = int(field.dlog_table[field.neg_table[1]])
     twist = field.unit_roots[(j * len(upper) * minus_one) % q1]
-    return -np.fft.ifft(_mccarthy_coefficients(field, upper, lower) * twist)
+    coeffs = _mccarthy_coefficients(field, [a.k for a in upper], [b.k for b in lower])
+    return -np.fft.ifft(coeffs * twist)
 
 
 def greene_F_by_dlog(upper, lower) -> np.ndarray:

@@ -15,6 +15,7 @@ import dworkcount.brute as brute
 import dworkcount.cli as cli
 import dworkcount.diagonal as diagonal
 import dworkcount.dwork as dwork
+from dworkcount.brute import dwork_polynomial, projective_count
 from dworkcount.cli import main, run_count
 from dworkcount.field import FqField
 from dworkcount.verify import valid_lambdas
@@ -126,6 +127,11 @@ def test_usage_errors_exit_two(capsys):
             "error: unknown method 'nosuch'\n",
         ),
         (("count", "--degree", "6", "--p", "11", "--lambda", "2"), None),
+        (
+            ("count", "--degree", "3", "--p", "7", "--lambda", "0", "--methods", "all"),
+            "error: the Gauss-sum route needs lambda != 0\n",
+        ),
+        (("count", "--degree", "3", "--p", "7", "--lambda", "1", "--methods", "all"), None),
     ]
     for argv, expected in cases:
         code, out, err = run_main(capsys, *argv)
@@ -133,6 +139,19 @@ def test_usage_errors_exit_two(capsys):
         assert "error" in err
         if expected is not None:
             assert err == expected
+
+
+def test_enumeration_alone_counts_zero_and_singular_fibres(capsys):
+    # lambda = 0 and the singular lambda = 1 have point counts too; only the
+    # character routes refuse them
+    field = FqField(7)
+    for lam in (0, 1):
+        expected = projective_count(field, dwork_polynomial(field, 3, field.elem(lam)), 3)
+        code, out, err = run_main(
+            capsys, "count", "--degree", "3", "--p", "7", "--lambda", str(lam), "--methods", "brute"
+        )
+        assert code == 0, err
+        assert json.loads(out)["counts"] == {"brute": expected}
 
 
 def test_refusal_names_the_route_and_a_plain_number(capsys):
@@ -239,33 +258,45 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
 
     counted(diagonal, "weil_point_count")
     counted(dwork, "miyatani_preflight")
+    counted(dwork, "enumerate_kernel")
     counted(dwork, "jacobi")
     counted(cli, "dwork_counts_by_lambda")
     counted(brute, "projective_count")
+    # the Weil tables depend on (d, n, h) alone: one build per process
+    diagonal._weil_table.cache_clear()
     cases = [
-        # one Weil term per weight vector and one preflight for the whole sweep
+        # one Weil table, one preflight and one kernel for the whole sweep;
+        # no Weil term is validated vector by vector
         (61, 6, ["koblitz", "greene", "miyatani"], 54,
-         {"weil_point_count": 6**5, "miyatani_preflight": 1, "jacobi": 5}),
+         {"weil_tables": 1, "miyatani_preflight": 1, "enumerate_kernel": 1, "jacobi": 5}),
         # one scan gives every brute count; no fibre is enumerated on its own
         (31, 5, ["brute", "koblitz", "greene"], 25,
-         {"weil_point_count": 5**4, "dwork_counts_by_lambda": 1}),
-        # a sweep without enumeration builds no scan
-        (31, 5, ["koblitz"], 25, {"weil_point_count": 5**4}),
+         {"weil_tables": 1, "dwork_counts_by_lambda": 1}),
+        # a sweep without enumeration builds no scan, and the degree-5 Weil
+        # table of the last field serves this one
+        (31, 5, ["koblitz"], 25, {}),
     ]
     for p, degree, methods, fibres, expected in cases:
         calls.clear()
+        builds = diagonal._weil_table.cache_info().misses
         field = FqField(p)
         lams = valid_lambdas(field, degree)
         for lam in lams:
             report = run_count(field, degree, lam, methods, 1e-3)
             assert report.consistent
         assert len(lams) == fibres
-        assert calls == expected, methods
+        calls["weil_tables"] = diagonal._weil_table.cache_info().misses - builds
+        assert +calls == expected, methods
 
+        # no plan may hold a MultChar or an FqElem: either would make a
+        # reference cycle, and the field would wait for the cyclic collector
         ref = weakref.ref(field)
-        del field, lams, lam
-        gc.collect()
-        assert ref() is None
+        gc.disable()
+        try:
+            del field, lams, lam, report
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_brute_skip_marker_builds_no_scan(monkeypatch, capsys):

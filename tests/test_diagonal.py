@@ -238,13 +238,23 @@ def test_koblitz_total_is_nearly_real(f13):
     assert abs(total.imag) < 1e-9
 
 
-def _reference_weil_sums(field, h, reps):
-    """Per-member Weil terms summed in member order, for each class."""
+def _reference_weil_sums(field, d, h, reps):
+    """Per-member Weil terms summed in member order, for each class, every
+    member included and each term written out as a left-to-right product."""
+    t = field.q1 // d
     sums = {}
     for rep in reps:
         weil = 0j
-        for v in class_members(6, h, rep):
-            weil += weil_point_count(field, 6, len(h), v)
+        for v in class_members(d, h, rep):
+            if not any(v):
+                weil += complex((field.q ** (len(h) - 1) - 1) // (field.q - 1))
+            elif all(v):
+                prod = 1 + 0j
+                for wi in v:
+                    prod *= field.gauss_table[(wi * t) % field.q1]
+                weil += prod / field.q
+            else:
+                weil += 0j
         sums[rep] = weil
     return sums
 
@@ -271,18 +281,22 @@ def test_koblitz_total_is_bit_identical_to_the_class_loop(f13):
     # Near q = 2017 a sextic count lies in [2**43, 2**44), where one float
     # ulp (2**-9) exceeds the rounding tolerance: any reordering of the sum
     # can turn an accepted fibre into a refused one, so equality is exact.
-    f61, f2017 = FqField(61), FqField(2017)
+    f61, f2017, f37, f31 = FqField(61), FqField(2017), FqField(37), FqField(31)
     groups = [
         (f61, (1,) * 6, valid_lambdas(f61, 6)),
         (f2017, (1,) * 6, [f2017.elem(1501), f2017.elem(5)]),
         (f13, (1, 2, 3), [f13.elem(2), f13.elem(5)]),
+        (f13, (1,) * 3, valid_lambdas(f13, 3)),
+        (f37, (1,) * 4, valid_lambdas(f37, 4)),
+        (f31, (1,) * 5, valid_lambdas(f31, 5)),
     ]
     fibres = 0
     for field, h, lams in groups:
-        reps = sorted({canonical_class_rep(6, h, w) for w in _weight_vectors(6, len(h))})
-        weil = _reference_weil_sums(field, h, reps)
+        d = sum(h)
+        reps = sorted({canonical_class_rep(d, h, w) for w in _weight_vectors(d, len(h))})
+        weil = _reference_weil_sums(field, d, h, reps)
         for lam in lams:
-            params = DiagonalParams(field, 6, h, lam)
+            params = DiagonalParams(field, d, h, lam)
             assert koblitz_total(params) == _reference_koblitz_total(params, reps, weil)
             fibres += 1
-    assert fibres == 58
+    assert fibres == 58 + 9 + 32 + 25

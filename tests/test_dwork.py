@@ -25,6 +25,7 @@ from dworkcount.dwork import (
     CLOSED_FORMS,
     DworkParams,
     KernelElement,
+    MiyataniPreflight,
     closed_form_term,
     closed_form_term_by_dlog,
     enumerate_kernel,
@@ -178,6 +179,61 @@ def test_preflight_conditions(f13, f25):
         assert pre.ok
 
 
+def _reference_preflight(field):
+    """The preflight with every Smith form and the kernel computed afresh."""
+    q1 = field.q1
+    modulus_ok = q1 % 6 == 0
+    chain = smith_normal_form(kernel_matrix(6))
+    expected = math.prod(d for d in chain if d)
+    coords_ok, size = False, 0
+    if modulus_ok:
+        t = q1 // 6
+        kernel = [
+            (0,) + tuple(t * wi for wi in w)
+            for w in itertools.product(range(6), repeat=5)
+            if sum(w) % 6 == 0
+        ]
+        coords_ok = all(
+            all(si % t == 0 for si in s) and sum(s) % 6 == 0 and sum(s) % q1 == 0
+            for s in kernel
+        )
+        size = len(kernel)
+    a = (6 * np.eye(6, dtype=np.int64)).tolist()
+    subset_ok, u_ok, d_count = True, True, 0
+    for k in (3, 4, 5, 6):
+        for cols in itertools.combinations(range(6), k):
+            support = [
+                i for i in range(6) if all(a[i][j] == 0 for j in range(6) if j not in cols)
+            ]
+            sigma = len(support)
+            stacked = [[a[j][i] for i in support] for j in cols] + [[1] * sigma]
+            subset_ok &= all(d == 0 or q1 % d == 0 for d in smith_normal_form(stacked))
+            if k <= 5:
+                u_ok &= all(6 - 2 * i > sigma for i in range(k - sigma + 1))
+            if k == 3 and all(
+                any(a[i][j] >= 1 for j in range(6) if j not in cols) for i in range(6)
+            ):
+                d_count += 1
+    return MiyataniPreflight(
+        q=field.q,
+        modulus_ok=modulus_ok,
+        divisor_chain=chain,
+        kernel_size=size,
+        kernel_size_ok=size == expected == 6**4,
+        coords_ok=coords_ok,
+        subset_divisors_ok=subset_ok,
+        u_vanishes=u_ok,
+        d_vanishes=d_count == 0,
+    )
+
+
+def test_preflight_report_matches_a_fresh_computation(f5, f13, f25):
+    # the integer structure is shared by every field of the process; each
+    # report must still equal the one computed from scratch, field by field
+    for field in (f5, f13, f25, FqField(4003), f5):
+        assert miyatani_preflight(field) == _reference_preflight(field)
+
+
 def test_preflight_fails_off_modulus(f5):
     pre = miyatani_preflight(f5)
     assert not pre.modulus_ok
@@ -275,6 +331,9 @@ def test_miyatani_total_is_bit_identical_to_a_fresh_preflight():
     f61, f2017 = FqField(61), FqField(2017)
     fibres = [(f61, lam) for lam in valid_lambdas(f61, 6)]
     fibres += [(f2017, f2017.elem(1501)), (f2017, f2017.elem(5))]
+    # the top prime of the cold benchmark range
+    f4003 = FqField(4003)
+    fibres += [(f4003, f4003.elem(2)), (f4003, f4003.elem(3001))]
     for field, lam in fibres:
         params = DworkParams(field, 6, lam)
         assert miyatani_dwork6_total(params) == _reference_miyatani_total(params)
