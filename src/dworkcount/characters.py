@@ -167,10 +167,10 @@ def char_at_minus_one(field: FqField, k: int) -> complex:
 
 
 def round_to_int(value: complex, tol: float = 1e-3) -> tuple[int, float]:
-    """Nearest integer and the residual; residuals above tol are an error."""
+    """Nearest integer and the residual; unless residual <= tol, an error."""
     n = int(round(value.real))
     residual = abs(value - n)
-    if residual > tol:
+    if not residual <= tol:
         raise RoundingFailure(f"value {complex(value)} is {residual:.3g} away from an integer")
     return n, residual
 

@@ -208,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if failed else 0
 
     try:
+        if not 0 <= args.tolerance < 0.5:
+            raise ValueError(f"--tolerance must lie in [0, 0.5), not {args.tolerance}")
         methods = _parse_methods(args.methods, args.degree)
         if args.command == "table" or args.all_lambda:
             lams = valid_lambdas(field, args.degree)

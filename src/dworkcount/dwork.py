@@ -39,13 +39,11 @@ from .errors import (
 from .field import FqElem, FqField
 from .hypergeometric import (
     GreeneParams,
-    McCarthyParams,
+    _cancel_common,
     _mccarthy_value,
+    _mccarthy_vector,
     greene_F,
     greene_F_by_dlog,
-    mccarthy_F,
-    mccarthy_F_by_dlog,
-    reduce_params,
 )
 
 
@@ -251,81 +249,62 @@ def kernel_matrix(degree: int) -> np.ndarray:
     return degree * np.eye(degree, dtype=np.int64) - np.ones((degree, degree), dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class KernelElement:
-    """Canonical class representative: exponents s_i in {0, ..., q-2}, each a
-    multiple of (q-1)/6, first coordinate 0, sum a multiple of q-1."""
-
-    s: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.s)
+def _reduced_exponents(w) -> list[list[int]]:
+    """The upper exponents |w|/6 + i mod 6 and the lower exponents w of F(s)
+    for the kernel class s = t*w, common multiset cancelled, in units of t."""
+    if len(w) != 6 or any(wi not in range(6) for wi in w) or sum(w) % 6:
+        raise BadWeightError("a kernel class is six exponents in range(6) with sum 0 mod 6")
+    return _cancel_common([(sum(w) // 6 + i) % 6 for i in range(6)], list(w))
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_pattern() -> tuple[tuple, tuple, tuple[int, ...]]:
-    """The kernel in units of t = (q-1)/6, in lexicographic order; the first
-    pattern of each distinct sorted key; each pattern's index into the keys."""
-    pattern = tuple((0,) + w for w in itertools.product(range(6), repeat=5) if sum(w) % 6 == 0)
+def _kernel_table() -> tuple[tuple, tuple[int, ...], tuple]:
+    """The 6**4 kernel classes w (s = t*w, w_1 = 0) in lexicographic order,
+    each class's index into the distinct sorted keys, and per key its first
+    class and the reduced exponents of F(s), all in units of t."""
+    classes = tuple((0,) + w for w in itertools.product(range(6), repeat=5) if sum(w) % 6 == 0)
     first: dict[tuple[int, ...], int] = {}
-    index = tuple(first.setdefault(tuple(sorted(w)), len(first)) for w in pattern)
-    return pattern, tuple(pattern[index.index(i)] for i in range(len(first))), index
+    index = tuple(first.setdefault(tuple(sorted(w)), len(first)) for w in classes)
+    reps = (classes[index.index(i)] for i in range(len(first)))
+    return classes, index, tuple((w, _reduced_exponents(w)) for w in reps)
 
 
-def enumerate_kernel(field: FqField, degree: int = 6) -> list[KernelElement]:
-    """All 6**4 canonical kernel-class representatives."""
-    if degree != 6:
-        raise BadDegreeError("the kernel route covers degree 6 only")
-    if field.q1 % 6 != 0:
-        raise BadModulusError(f"q = {field.q} is not 1 mod 6")
-    t = field.q1 // 6
-    return [KernelElement(tuple(t * wi for wi in w)) for w in _kernel_pattern()[0]]
-
-
-def gamma_s(field: FqField, elem: KernelElement) -> complex:
-    """The coefficient -prod_i g(omega**(-s_i))."""
-    g = field.gauss_table
+def gamma_s(field: FqField, w) -> complex:
+    """The coefficient -prod_i g(omega**(-t*w_i)) of the kernel class s = t*w."""
+    t, g = field.q1 // 6, field.gauss_table
     prod = -1 + 0j
-    for si in elem.s:
-        prod *= g[(-si) % field.q1]
+    for wi in w:
+        prod *= g[(-t * wi) % field.q1]
     return prod
 
 
-def _miyatani_params(field: FqField, elem: KernelElement, x: FqElem):
-    """q**(delta - 1) and the reduced parameters of one kernel class at x."""
-    q1 = field.q1
-    t = q1 // 6
-    if any(si % t for si in elem.s) or elem.total % 6:
-        raise BadWeightError("kernel exponents must be multiples of (q-1)/6 with sum 0 mod 6")
-    base = elem.total // 6
-    upper = tuple(MultChar(field, base + i * t) for i in range(6))
-    lower = tuple(MultChar(field, si) for si in elem.s)
-    delta = 1 if elem.total % q1 == 0 else 0
-    return field.q ** (delta - 1), reduce_params(McCarthyParams(upper, lower, x))
+def _absolute(field: FqField, exponents) -> list[list[int]]:
+    """Exponent lists in units of t = (q-1)/6 as exponents of omega."""
+    if field.q1 % 6:
+        raise BadModulusError(f"q = {field.q} is not 1 mod 6")
+    return [[field.q1 // 6 * k for k in exps] for exps in exponents]
 
 
-def miyatani_F_s(field: FqField, elem: KernelElement, lam: FqElem) -> complex:
-    """The reduced Gauss-sum-normalized value attached to one kernel class:
+def miyatani_F_s(field: FqField, w, lam: FqElem) -> complex:
+    """The reduced Gauss-sum-normalized value of the kernel class s = t*w:
 
         q**(delta - 1) * Red-F~(omega**(|s|/6) * (eps, w6, ..., w6**5);
                                  omega**s_1, ..., omega**s_6; 1/lam**6)
 
-    with delta = 1 exactly when |s| = 0 mod q-1 (evaluated, not assumed).
+    with delta = 1 when |s| = 0 mod q-1.  As |s| = t*|w| and |w| = 0 mod 6
+    (the preflight's coords_ok), delta = 1 and the factor is exactly 1.
     """
     if lam.field is not field:
         raise MixedFieldsError("lambda lives in a different field")
     if lam.is_zero:
         raise BadLambdaError("the kernel route needs lambda != 0")
-    scale, reduced = _miyatani_params(field, elem, (lam**6).inverse())
-    return scale * mccarthy_F(reduced)
+    upper, lower = _absolute(field, _reduced_exponents(w))
+    return _mccarthy_value(field, upper, lower, (lam**6).inverse().exp)
 
 
-def miyatani_F_s_by_dlog(field: FqField, elem: KernelElement) -> np.ndarray:
+def miyatani_F_s_by_dlog(field: FqField, w) -> np.ndarray:
     """miyatani_F_s for every lam != 0: entry u is the value at 1/lam**6 = g**u."""
-    # the reduced characters do not depend on x, so x = 1 stands for every x
-    scale, reduced = _miyatani_params(field, elem, field.one)
-    return scale * mccarthy_F_by_dlog(reduced.upper, reduced.lower)
+    return _mccarthy_vector(field, *_absolute(field, _reduced_exponents(w)))
 
 
 @dataclass(frozen=True)
@@ -355,9 +334,10 @@ class MiyataniPreflight:
 
 
 @functools.lru_cache(maxsize=None)
-def _preflight_structure() -> tuple[tuple[int, ...], tuple[int, ...], bool, bool]:
+def _preflight_structure() -> tuple:
     """The q-free part of the preflight: the divisor chain of kernel_matrix(6),
-    the subset matrices' elementary divisors, and the u and d vanishing flags."""
+    the subset divisors, the u and d vanishing flags, the kernel's size and
+    whether every class w has |w| = 0 mod 6."""
     # exponent matrix of the six diagonal monomials, no shift
     a = (6 * np.eye(6, dtype=np.int64)).tolist()
     divisors: set[int] = set()
@@ -380,27 +360,27 @@ def _preflight_structure() -> tuple[tuple[int, ...], tuple[int, ...], bool, bool
                 any(a[i][j] >= 1 for j in range(6) if j not in cols) for i in range(6)
             ):
                 d_count += 1
-    return smith_normal_form(kernel_matrix(6)), tuple(sorted(divisors)), u_ok, d_count == 0
+    chain = smith_normal_form(kernel_matrix(6))
+    kernel = _kernel_table()[0]
+    coords_ok = all(sum(w) % 6 == 0 for w in kernel)
+    return chain, tuple(sorted(divisors)), u_ok, d_count == 0, len(kernel), coords_ok
 
 
 def miyatani_preflight(field: FqField) -> MiyataniPreflight:
-    """Check every condition the degree-6 kernel route relies on; per field
-    only divisibility by q - 1 and the kernel's coordinates are checked."""
+    """Check every condition the degree-6 kernel route relies on; the kernel
+    and the integer structure are free of q, so per field only divisibility
+    of q - 1 by 6 and by the subset divisors is checked."""
     q1 = field.q1
-    chain, divisors, u_ok, d_ok = _preflight_structure()
+    chain, divisors, u_ok, d_ok, size, coords_ok = _preflight_structure()
     modulus_ok = q1 % 6 == 0
-    kernel = enumerate_kernel(field) if modulus_ok else []
-    t = q1 // 6
-    coords_ok = modulus_ok and all(
-        all(si % t == 0 for si in e.s) and e.total % 6 == 0 and e.total % q1 == 0 for e in kernel
-    )
+    size = size if modulus_ok else 0
     return MiyataniPreflight(
         q=field.q,
         modulus_ok=modulus_ok,
         divisor_chain=chain,
-        kernel_size=len(kernel),
-        kernel_size_ok=len(kernel) == math.prod(d for d in chain if d) == 6**4,
-        coords_ok=coords_ok,
+        kernel_size=size,
+        kernel_size_ok=size == math.prod(d for d in chain if d) == 6**4,
+        coords_ok=modulus_ok and coords_ok,
         subset_divisors_ok=all(d == 0 or q1 % d == 0 for d in divisors),
         u_vanishes=u_ok,
         d_vanishes=d_ok,
@@ -408,22 +388,16 @@ def miyatani_preflight(field: FqField) -> MiyataniPreflight:
 
 
 def _miyatani_plan(field: FqField) -> tuple[MiyataniPreflight, list, tuple[int, ...]]:
-    """The preflight report and, when it passes, gamma(s), q**(delta - 1) and
-    the reduced exponents of each distinct sorted key, and each element's
-    index into the keys: ints and scalars only, no reference to the field."""
+    """The preflight report and, when it passes, gamma(s) and the reduced
+    exponents of each key of the kernel table, and each class's index into
+    the keys: ints and scalars only, no reference to the field."""
 
     def build():
         report = miyatani_preflight(field)
         if not report.ok:
             return report, [], ()
-        t = field.q1 // 6
-        _, reps, index = _kernel_pattern()
-        terms = []
-        for w in reps:
-            elem = KernelElement(tuple(t * wi for wi in w))
-            scale, reduced = _miyatani_params(field, elem, field.one)  # free of x
-            exps = [tuple(c.k for c in chars) for chars in (reduced.upper, reduced.lower)]
-            terms.append((gamma_s(field, elem), scale, *exps))
+        _, index, keys = _kernel_table()
+        terms = [(gamma_s(field, w), *_absolute(field, exps)) for w, exps in keys]
         return report, terms, index
 
     return field.plan(("miyatani",), build)
@@ -440,7 +414,7 @@ def miyatani_dwork6_total(params: DworkParams) -> complex:
     if not report.ok:
         raise PreconditionError(f"kernel-route preconditions failed: {report}")
     x = (params.lam**6).inverse().exp
-    values = [gam * (scale * _mccarthy_value(field, up, lo, x)) for gam, scale, up, lo in terms]
+    values = [gam * _mccarthy_value(field, up, lo, x) for gam, up, lo in terms]
     total = 0j
     for i in index:
         total += values[i]

@@ -196,16 +196,20 @@ def mccarthy_F(params: McCarthyParams) -> complex:
 # round exactly as before.
 
 
-def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
-    """mccarthy_F(upper; lower; x) for every x != 0: entry u is the value at
-    x = g**u."""
-    field = _check_mccarthy(upper, lower)
+def _mccarthy_vector(field: FqField, upper, lower) -> np.ndarray:
+    """_mccarthy_value at every x != 0: entry u is the value at x = g**u."""
     q1 = field.q1
     j = np.arange(q1, dtype=np.int64)
     minus_one = int(field.dlog_table[field.neg_table[1]])
     twist = field.unit_roots[(j * len(upper) * minus_one) % q1]
-    coeffs = _mccarthy_coefficients(field, [a.k for a in upper], [b.k for b in lower])
-    return -np.fft.ifft(coeffs * twist)
+    return -np.fft.ifft(_mccarthy_coefficients(field, upper, lower) * twist)
+
+
+def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
+    """mccarthy_F(upper; lower; x) for every x != 0: entry u is the value at
+    x = g**u."""
+    field = _check_mccarthy(upper, lower)
+    return _mccarthy_vector(field, [a.k for a in upper], [b.k for b in lower])
 
 
 def greene_F_by_dlog(upper, lower) -> np.ndarray:
@@ -224,26 +228,28 @@ def greene_F_by_dlog(upper, lower) -> np.ndarray:
     return sign / field.q * np.fft.ifft(spectra[0] * spectra[1])
 
 
+def _cancel_common(upper, lower, key=lambda v: v) -> list[list]:
+    """Drop the maximal common multiset of upper and lower, compared by key,
+    keeping the order of what is left."""
+    common = Counter(map(key, upper)) & Counter(map(key, lower))
+    kept = []
+    for values in (upper, lower):
+        budget = +common
+        kept.append([])
+        for v in values:
+            if budget[key(v)] > 0:
+                budget[key(v)] -= 1
+            else:
+                kept[-1].append(v)
+    return kept
+
+
 def reduce_params(params: McCarthyParams) -> McCarthyParams:
     """Cancel the maximal common multiset between upper and lower lists."""
-    common = Counter(a.k for a in params.upper) & Counter(b.k for b in params.lower)
-    if not common:
-        return params
-    upper = _drop(params.upper, +common)
-    lower = _drop(params.lower, +common)
+    upper, lower = _cancel_common(params.upper, params.lower, key=lambda c: c.k)
     if not upper:
         raise BadParamsError("reduction cancelled every parameter")
     return McCarthyParams(tuple(upper), tuple(lower), params.x)
-
-
-def _drop(chars, budget: Counter) -> list[MultChar]:
-    out = []
-    for c in chars:
-        if budget[c.k] > 0:
-            budget[c.k] -= 1
-        else:
-            out.append(c)
-    return out
 
 
 def mccarthy_to_greene(params: McCarthyParams) -> complex:

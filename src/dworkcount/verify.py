@@ -33,13 +33,12 @@ from .characters import (
 from .diagonal import class_contribution_by_dlog, enumerate_orbit_classes
 from .dwork import (
     CLOSED_FORMS,
-    KernelElement,
     closed_form_term_by_dlog,
     gamma_s,
     miyatani_F_s_by_dlog,
 )
 from .field import FqElem, FqField
-from .hypergeometric import McCarthyParams, mccarthy_F, mccarthy_F_by_dlog, mccarthy_to_greene
+from .hypergeometric import McCarthyParams, _mccarthy_vector, mccarthy_F, mccarthy_to_greene
 
 
 @dataclass(frozen=True)
@@ -211,16 +210,13 @@ def kernel_identity_checks(field: FqField, lams: list[FqElem] | None = None) -> 
     at = [(-6 * lam.exp) % field.q1 for lam in lams]
     rows = []
     for label, sign, qpow, twist, jexps, upper, lower in KERNEL_IDENTITIES:
-        elem = KernelElement(tuple(t * wi for wi in label))
-        lhs = gamma_s(field, elem) * miyatani_F_s_by_dlog(field, elem)
+        lhs = gamma_s(field, label) * miyatani_F_s_by_dlog(field, label)
         value = sign * field.q**qpow + 0j
         if twist:
             value *= char_at_minus_one(field, t)
         if jexps is not None:
             value *= jacobi(tuple(MultChar(field, k * t) for k in jexps))
-        up = tuple(MultChar(field, k * t) for k in upper)
-        lo = tuple(MultChar(field, k * t) for k in lower)
-        rhs = value * mccarthy_F_by_dlog(up, lo)
+        rhs = value * _mccarthy_vector(field, [k * t for k in upper], [k * t for k in lower])
         rows.append(CheckResult(f"kernel-{label}", _worst(lhs[at] - rhs[at]), tol, len(lams)))
     return rows
 

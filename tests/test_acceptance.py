@@ -22,10 +22,10 @@ from dworkcount.diagonal import (
 )
 from dworkcount.dwork import (
     DworkParams,
-    enumerate_kernel,
     greene_total,
     kernel_matrix,
     miyatani_dwork6_total,
+    miyatani_preflight,
     smith_normal_form,
 )
 from dworkcount.field import FqField
@@ -187,7 +187,7 @@ def test_criterion_08_structure_checks():
     assert sizes == expected
     assert sum(sizes) == 1296
     assert smith_normal_form(kernel_matrix(6)) == (1, 6, 6, 6, 6, 0)
-    assert len(enumerate_kernel(FqField(13))) == 1296
+    assert miyatani_preflight(FqField(13)).kernel_size == 1296
     report(8, "orbit sizes, divisor chain (1,6,6,6,6,0), kernel size 1296")
 
 

@@ -172,6 +172,11 @@ def test_round_to_int():
         round_to_int(5.5 + 0j)
     with pytest.raises(RoundingFailure):
         round_to_int(5.0 + 0.5j)
+    # a NaN tolerance accepts nothing, rather than everything
+    with pytest.raises(RoundingFailure):
+        round_to_int(10.4 + 3j, float("nan"))
+    with pytest.raises(RoundingFailure):
+        round_to_int(10.0 + 0j, float("nan"))
 
 
 def test_jacobi_fixtures_order_twelve_field(f13):

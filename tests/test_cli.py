@@ -133,6 +133,17 @@ def test_usage_errors_exit_two(capsys):
         ),
         (("count", "--degree", "3", "--p", "7", "--lambda", "1", "--methods", "all"), None),
     ]
+    # a NaN tolerance would switch the rounding check off, and a negative one
+    # would be reported as a verification failure
+    for tolerance in ("nan", "inf", "-1", "0.5"):
+        cases.append((
+            ("count", "--degree", "6", "--p", "13", "--lambda", "2", "--tolerance", tolerance),
+            f"error: --tolerance must lie in [0, 0.5), not {float(tolerance)}\n",
+        ))
+    cases.append((
+        ("table", "--degree", "6", "--p", "13", "--methods", "koblitz", "--tolerance", "nan"),
+        "error: --tolerance must lie in [0, 0.5), not nan\n",
+    ))
     for argv, expected in cases:
         code, out, err = run_main(capsys, *argv)
         assert code == 2, argv
@@ -258,17 +269,18 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
 
     counted(diagonal, "weil_point_count")
     counted(dwork, "miyatani_preflight")
-    counted(dwork, "enumerate_kernel")
     counted(dwork, "jacobi")
     counted(cli, "dwork_counts_by_lambda")
     counted(brute, "projective_count")
-    # the Weil tables depend on (d, n, h) alone: one build per process
+    # the Weil tables depend on (d, n, h) alone and the kernel table on
+    # nothing: one build each per process
     diagonal._weil_table.cache_clear()
+    dwork._kernel_table.cache_clear()
     cases = [
-        # one Weil table, one preflight and one kernel for the whole sweep;
-        # no Weil term is validated vector by vector
+        # one Weil table, one kernel table and one preflight for the whole
+        # sweep; no Weil term is validated vector by vector
         (61, 6, ["koblitz", "greene", "miyatani"], 54,
-         {"weil_tables": 1, "miyatani_preflight": 1, "enumerate_kernel": 1, "jacobi": 5}),
+         {"weil_tables": 1, "kernel_tables": 1, "miyatani_preflight": 1, "jacobi": 5}),
         # one scan gives every brute count; no fibre is enumerated on its own
         (31, 5, ["brute", "koblitz", "greene"], 25,
          {"weil_tables": 1, "dwork_counts_by_lambda": 1}),
@@ -279,6 +291,7 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
     for p, degree, methods, fibres, expected in cases:
         calls.clear()
         builds = diagonal._weil_table.cache_info().misses
+        kernel_builds = dwork._kernel_table.cache_info().misses
         field = FqField(p)
         lams = valid_lambdas(field, degree)
         for lam in lams:
@@ -286,6 +299,7 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
             assert report.consistent
         assert len(lams) == fibres
         calls["weil_tables"] = diagonal._weil_table.cache_info().misses - builds
+        calls["kernel_tables"] = dwork._kernel_table.cache_info().misses - kernel_builds
         assert +calls == expected, methods
 
         # no plan may hold a MultChar or an FqElem: either would make a

@@ -24,11 +24,10 @@ from dworkcount.diagonal import (
 from dworkcount.dwork import (
     CLOSED_FORMS,
     DworkParams,
-    KernelElement,
     MiyataniPreflight,
+    _kernel_table,
     closed_form_term,
     closed_form_term_by_dlog,
-    enumerate_kernel,
     gamma_s,
     greene_total,
     kernel_matrix,
@@ -111,58 +110,75 @@ def test_kernel_matrix_shape():
     assert (np.diag(m) == 5).all()
 
 
-def test_kernel_enumeration(f13):
-    kernel = enumerate_kernel(f13)
-    assert len(kernel) == 6**4
-    t = f13.q1 // 6
-    seen = {elem.s for elem in kernel}
-    assert len(seen) == 6**4
-    assert (0, 0, 0, 0, 0, 0) in seen
-    assert (0, 0, 0, 0, t, 5 * t) in seen
-    for elem in kernel:
-        assert elem.s[0] == 0
-        assert all(si % t == 0 for si in elem.s)
-        assert elem.total % 6 == 0
-        assert elem.total == sum(elem.s)
-    with pytest.raises(BadDegreeError):
-        enumerate_kernel(f13, 5)
+def _fresh_kernel():
+    """The kernel classes w (s = t*w) enumerated afresh, in lexicographic order."""
+    return [(0,) + w for w in itertools.product(range(6), repeat=5) if sum(w) % 6 == 0]
 
 
-def test_kernel_enumeration_modulus_guard(f5):
-    with pytest.raises(BadModulusError):
-        enumerate_kernel(f5)
+def test_kernel_table_matches_a_fresh_enumeration():
+    classes, index, keys = _kernel_table()
+    fresh = _fresh_kernel()
+    assert list(classes) == fresh
+    assert len(fresh) == 6**4
+    assert (0, 0, 0, 0, 0, 0) in classes and (0, 0, 0, 0, 1, 5) in classes
+    # keys in order of first appearance, each class pointing at its sorted key
+    first = {}
+    for w in fresh:
+        first.setdefault(tuple(sorted(w)), w)
+    assert [w for w, _ in keys] == list(first.values())
+    assert len(keys) == 42
+    assert [tuple(sorted(w)) for w in fresh] == [tuple(sorted(keys[i][0])) for i in index]
+    # the reduced exponents: the rotation (|w|/6 + i) mod 6 over w, common
+    # multiset cancelled, in order
+    for w, (upper, lower) in keys:
+        up = [(sum(w) // 6 + i) % 6 for i in range(6)]
+        lo = list(w)
+        for k in set(up) & set(lo):
+            for _ in range(min(up.count(k), lo.count(k))):
+                up.remove(k)
+                lo.remove(k)
+        assert (upper, lower) == (up, lo), w
 
 
 def test_gamma_is_gauss_product(f13):
     t = f13.q1 // 6
-    for s in [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 3 * t, 3 * t), (0, t, 2 * t, 3 * t, 4 * t, 2 * t)]:
-        elem = KernelElement(s)
+    for w in [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 3, 3), (0, 1, 2, 3, 4, 2)]:
         expected = -1.0 + 0j
-        for si in s:
-            expected *= complex(f13.gauss_table[MultChar(f13, -si).k])
-        assert abs(gamma_s(f13, elem) - expected) < 1e-9
+        for wi in w:
+            expected *= complex(f13.gauss_table[MultChar(f13, -t * wi).k])
+        assert abs(gamma_s(f13, w) - expected) < 1e-9
 
 
 def test_miyatani_values_are_permutation_invariant(f13):
-    t = f13.q1 // 6
     lam = f13.elem(2)
-    base = (0, t, t, 2 * t, 4 * t, 4 * t)
-    value = gamma_s(f13, KernelElement(base)) * miyatani_F_s(f13, KernelElement(base), lam)
+    base = (0, 1, 1, 2, 4, 4)
+    value = gamma_s(f13, base) * miyatani_F_s(f13, base, lam)
     for perm in itertools.permutations(base):
-        elem = KernelElement(perm)
-        got = gamma_s(f13, elem) * miyatani_F_s(f13, elem, lam)
+        got = gamma_s(f13, perm) * miyatani_F_s(f13, perm, lam)
         assert abs(got - value) < 1e-9
 
 
+def test_kernel_enumeration_modulus_guard(f5):
+    # the kernel classes are written in units of t = (q-1)/6
+    with pytest.raises(BadModulusError):
+        miyatani_F_s(f5, (0,) * 6, f5.elem(2))
+    with pytest.raises(BadModulusError):
+        miyatani_F_s_by_dlog(f5, (0,) * 6)
+
+
 def test_miyatani_f_s_guards(f13):
-    t = f13.q1 // 6
     with pytest.raises(BadLambdaError):
-        miyatani_F_s(f13, KernelElement((0,) * 6), f13.zero)
-    with pytest.raises(BadWeightError):
-        miyatani_F_s(f13, KernelElement((0, 0, 0, 0, 1, 2 * t - 1)), f13.elem(2))
+        miyatani_F_s(f13, (0,) * 6, f13.zero)
+    # not a kernel class: a sum that is not 0 mod 6 (t*|w| is 0 mod 6 at
+    # q = 13 all the same), an entry outside range(6), a seventh entry
+    for w in [(0, 0, 0, 0, 1, 2), (0, 0, 0, 0, 0, 6), (0, 0, 0, 0, 1, 5, 0)]:
+        with pytest.raises(BadWeightError):
+            miyatani_F_s(f13, w, f13.elem(2))
+        with pytest.raises(BadWeightError):
+            miyatani_F_s_by_dlog(f13, w)
     # unit sixth roots are fine here: the kernel identities hold at every
     # nonzero deformation value
-    assert abs(miyatani_F_s(f13, KernelElement((0,) * 6), f13.one)) >= 0
+    assert abs(miyatani_F_s(f13, (0,) * 6, f13.one)) >= 0
 
 
 def test_preflight_conditions(f13, f25):
@@ -319,10 +335,10 @@ def _reference_miyatani_total(params):
     assert miyatani_preflight(field).ok
     values = {}
     total = 0j
-    for elem in enumerate_kernel(field):
-        key = tuple(sorted(elem.s))
+    for w in _fresh_kernel():
+        key = tuple(sorted(w))
         if key not in values:
-            values[key] = gamma_s(field, elem) * miyatani_F_s(field, elem, params.lam)
+            values[key] = gamma_s(field, w) * miyatani_F_s(field, w, params.lam)
         total += values[key]
     return (field.q**5 - 1) // (field.q - 1) - total
 
@@ -466,9 +482,9 @@ def test_closed_form_terms_by_dlog_guard(f11):
 @pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (37, 1)])
 def test_miyatani_values_by_dlog_match_every_lambda(p, e):
     field = FqField(p, e)
-    classes = {tuple(sorted(elem.s)): elem for elem in enumerate_kernel(field)}
-    for elem in classes.values():
-        values = miyatani_F_s_by_dlog(field, elem)
+    classes = {tuple(sorted(w)): w for w in _fresh_kernel()}
+    for w in classes.values():
+        values = miyatani_F_s_by_dlog(field, w)
         for lam in field.units():
-            single = miyatani_F_s(field, elem, lam)
-            assert abs(values[(-6 * lam.exp) % field.q1] - single) < 1e-9, (elem, lam)
+            single = miyatani_F_s(field, w, lam)
+            assert abs(values[(-6 * lam.exp) % field.q1] - single) < 1e-9, (w, lam)

@@ -13,7 +13,6 @@ from dworkcount.diagonal import DiagonalParams, class_contribution, enumerate_or
 from dworkcount.dwork import (
     CLOSED_FORMS,
     DworkParams,
-    KernelElement,
     closed_form_term,
     gamma_s,
     miyatani_F_s,
@@ -157,12 +156,10 @@ def reference_kernel_identity_value(field, w, lam):
 
 
 def reference_kernel_worst(field, lams):
-    t = field.q1 // 6
     worst = {}
     for label, *_ in KERNEL_IDENTITIES:
-        elem = KernelElement(tuple(t * wi for wi in label))
         worst[f"kernel-{label}"] = max(
-            abs(gamma_s(field, elem) * miyatani_F_s(field, elem, lam)
+            abs(gamma_s(field, label) * miyatani_F_s(field, label, lam)
                 - reference_kernel_identity_value(field, label, lam))
             for lam in lams
         )
@@ -225,6 +222,26 @@ def test_checks_gather_at_the_requested_lambdas(monkeypatch):
     rows = orbit_closed_form_checks(field, [lam])
     assert all(row.count == 1 and not row.passed for row in rows)
     assert all(row.passed for row in orbit_closed_form_checks(field, [other]))
+
+
+@pytest.mark.parametrize("p", [61, 331])
+def test_sign_flipped_rows_fail(monkeypatch, p):
+    # flip the sign of one kernel identity or one degree-6 closed form at a
+    # time: that row, and no other, must fail
+    field = FqField(p)
+    for i, row in enumerate(KERNEL_IDENTITIES):
+        flipped = list(KERNEL_IDENTITIES)
+        flipped[i] = (row[0], -row[1], *row[2:])
+        monkeypatch.setattr(verify, "KERNEL_IDENTITIES", tuple(flipped))
+        failed = [r.name for r in kernel_identity_checks(field) if not r.passed]
+        assert failed == [f"kernel-{row[0]}"], (p, row)
+    monkeypatch.undo()
+    for i, row in enumerate(CLOSED_FORMS[6]):
+        flipped = list(CLOSED_FORMS[6])
+        flipped[i] = (row[0], -row[1], *row[2:])
+        monkeypatch.setattr(verify, "CLOSED_FORMS", {**CLOSED_FORMS, 6: tuple(flipped)})
+        failed = [r.name for r in orbit_closed_form_checks(field) if not r.passed]
+        assert failed == [f"orbit-{row[0]}"], (p, row)
 
 
 def test_kernel_checks_compute_each_jacobi_constant_once(monkeypatch):
