@@ -1,4 +1,4 @@
-"""Multiplicative characters, Gauss sums, Jacobi sums, and identity checks.
+"""Multiplicative characters, Gauss sums, Jacobi sums and integer rounding.
 
 Characters of F_q* are powers of the distinguished generator character
 omega, defined by omega(g) = exp(2*pi*i/(q-1)) for the field's primitive
@@ -16,13 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BadLambdaError,
-    BadModulusError,
-    BadParamsError,
-    MixedFieldsError,
-    RoundingFailure,
-)
+from .errors import BadParamsError, MixedFieldsError, RoundingFailure
 from .field import FqElem, FqField
 
 
@@ -174,87 +168,3 @@ def round_to_int(value: complex, tol: float = 1e-3) -> tuple[int, float]:
         raise RoundingFailure(f"value {complex(value)} is {residual:.3g} away from an integer")
     return n, residual
 
-
-# -- identity checks -------------------------------------------------------
-
-
-def check_hasse_davenport(m: int, psi: MultChar) -> float:
-    """Residual of the Hasse-Davenport product relation for the order-m
-    character chi = omega**((q-1)/m):
-
-        prod_{i<m} g(chi**i psi) = -g(psi**m) psi**(-m)(m) prod_{i<m} g(chi**i)
-    """
-    field = psi.field
-    if m <= 0 or field.q1 % m != 0:
-        raise BadModulusError(f"q = {field.q} does not satisfy q = 1 mod {m}")
-    q1 = field.q1
-    ck = q1 // m
-    g = field.gauss_table
-    lhs = 1.0 + 0j
-    rprod = 1.0 + 0j
-    for i in range(m):
-        lhs *= g[(i * ck + psi.k) % q1]
-        rprod *= g[(i * ck) % q1]
-    m_elem = field.elem(m)
-    psi_pow = MultChar(field, -m * psi.k)
-    rhs = -g[(m * psi.k) % q1] * psi_pow(m_elem) * rprod
-    return abs(lhs - rhs)
-
-
-def check_sextic_gauss_product(field: FqField, j: int) -> float:
-    """Residual of the sextic product formula
-
-        g(omega**(6j)) = prod_{i<6} g(omega**(i t + j))
-                         / (omega**(-6j)(6) * prod_{1<=i<6} g(omega**(i t)))
-
-    with t = (q-1)/6.
-    """
-    if field.q1 % 6 != 0:
-        raise BadModulusError(f"q = {field.q} does not satisfy q = 1 mod 6")
-    q1 = field.q1
-    t = q1 // 6
-    g = field.gauss_table
-    num = 1.0 + 0j
-    for i in range(6):
-        num *= g[(i * t + j) % q1]
-    den = MultChar(field, -6 * j)(field.elem(6))
-    for i in range(1, 6):
-        den *= g[(i * t) % q1]
-    lhs = complex(g[(6 * j) % q1])
-    return abs(lhs - num / den)
-
-
-def check_twisted_gauss_convolution(a: int, b: int, lam: FqElem) -> float:
-    """Residual of the full-cycle Gauss-sum convolution with a sextic twist:
-
-        sum_j g(omega**(j+a)) g(omega**(-j+b)) omega**j(-1) omega**(6j)(lam)
-            = (q-1) g(omega**(a+b)) omega**b(-1) omega**(-(a+b))(1 - lam**6)
-
-    for a, b multiples of t = (q-1)/6 and lam off the singular locus.
-    """
-    field = lam.field
-    if field.q1 % 6 != 0:
-        raise BadModulusError(f"q = {field.q} does not satisfy q = 1 mod 6")
-    q1 = field.q1
-    t = q1 // 6
-    if a % t or b % t:
-        raise BadParamsError("a and b must be multiples of t = (q-1)/6")
-    if lam.is_zero:
-        raise BadLambdaError("lambda must be nonzero")
-    lam6 = lam**6
-    if lam6 == field.one:
-        raise BadLambdaError("lambda**6 = 1 is singular")
-    g = field.gauss_table
-    j = np.arange(q1, dtype=np.int64)
-    dl_m1 = int(field.dlog_table[field.neg_table[1]])
-    dl_lam = lam.exp
-    terms = (
-        g[(j + a) % q1]
-        * g[(-j + b) % q1]
-        * field.unit_roots[(j * dl_m1) % q1]
-        * field.unit_roots[(6 * j * dl_lam) % q1]
-    )
-    lhs = complex(terms.sum())
-    one_minus = field.one - lam6
-    rhs = q1 * g[(a + b) % q1] * char_at_minus_one(field, b) * MultChar(field, -(a + b))(one_minus)
-    return abs(lhs - rhs)

@@ -235,7 +235,7 @@ class FqField:
                 if found == skip:
                     return sum(c * self._pows[i] for i, c in enumerate(digits))
                 found += 1
-        raise AssertionError("not enough primitive elements")
+        raise ValueError(f"F_{self.q} has only one primitive element, so there is no alternative generator")
 
     def _mul_matrix(self, c: tuple) -> np.ndarray:
         """Matrix M with M[:, j] = coefficients of c * x**j, for fixed c."""

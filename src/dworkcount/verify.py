@@ -1,17 +1,18 @@
 """Numerical verification of every identity the counting routes rely on.
 
-Each check evaluates both sides of one identity over an exhaustive small
-domain and reports the worst absolute residual.  The suite covers the raw
-Gauss-sum facts, the product and convolution identities, the per-orbit
-closed forms of the class-by-class count, the kernel-class identities of
-the degree-6 route, and the bridge between the two hypergeometric
-normalizations.
+Each row evaluates both sides of one identity over an exhaustive small
+domain as two vectors, one entry per instance, and reports the worst
+absolute residual through _worst, so a NaN anywhere fails the row.  The
+suite covers the raw Gauss-sum facts, the product and convolution
+identities, the per-orbit closed forms of the class-by-class count, the
+kernel-class identities of the degree-6 route, and the bridge between the
+two hypergeometric normalizations.
 
-The per-orbit and kernel checks evaluate each side of a row at every
-deformation value at once: a hypergeometric value or class average is a
-lambda-free coefficient vector contracted with the characters of x = 1/lam**6
-(or of d*lam), so one inverse DFT per row gives a vector over dlog x, which
-the check reads at the requested lambdas.
+The twisted-convolution, per-orbit and kernel rows evaluate each side at
+every deformation value at once: a sum over characters of lam (or a
+hypergeometric value or class average, a lambda-free coefficient vector
+contracted with the characters of x = 1/lam**6 or of d*lam) is one inverse
+DFT, a vector over dlog x that the row reads at the lambdas it checks.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ import numpy as np
 from .characters import (
     MultChar,
     char_at_minus_one,
-    check_hasse_davenport,
-    check_sextic_gauss_product,
-    check_twisted_gauss_convolution,
     jacobi,
     trivial_char,
 )
@@ -61,81 +59,98 @@ class CheckResult:
         return f"{status} {self.name}: residual {self.residual:.3e} <= {self.tol:.3e}, {self.count} instances{extra}"
 
 
-def valid_lambdas(field: FqField, degree: int = 6, limit: int | None = None) -> list[FqElem]:
+def valid_lambdas(field: FqField, degree: int = 6) -> list[FqElem]:
     """Nonzero lam with lam**degree != 1, in element-id order."""
-    out: list[FqElem] = []
-    for i in range(1, field.q):
-        lam = field.from_id(i)
-        if (lam**degree) != field.one:
-            out.append(lam)
-            if limit is not None and len(out) == limit:
-                break
-    return out
+    return [lam for lam in nonzero_lambdas(field) if lam**degree != field.one]
 
 
-def nonzero_lambdas(field: FqField, limit: int | None = None) -> list[FqElem]:
-    out = [field.from_id(i) for i in range(1, field.q)]
-    return out[:limit] if limit is not None else out
+def nonzero_lambdas(field: FqField) -> list[FqElem]:
+    return [field.from_id(i) for i in range(1, field.q)]
+
+
+def _worst(residuals: np.ndarray) -> float:
+    """The largest absolute residual, 0 when there is none and NaN when one
+    is NaN, so that a NaN fails its row."""
+    return float(np.abs(residuals).max(initial=0.0))
+
+
+def _char_values(field: FqField, ks: np.ndarray, x: FqElem) -> np.ndarray:
+    """omega**k(x) for every k in ks, x nonzero."""
+    return field.unit_roots[(ks * x.exp) % field.q1]
 
 
 def gauss_sum_checks(field: FqField) -> list[CheckResult]:
     """g(eps) = -1 and g(chi) g(conj chi) = q chi(-1) for every chi != eps."""
     tol = 1e-6 * field.q**3
-    g = field.gauss_table
-    rows = [CheckResult("gauss-trivial", abs(complex(g[0]) + 1), tol, 1)]
-    worst = 0.0
-    for k in range(1, field.q1):
-        lhs = complex(g[k] * g[field.q1 - k])
-        rhs = field.q * char_at_minus_one(field, k)
-        worst = max(worst, abs(lhs - rhs))
-    rows.append(CheckResult("gauss-conjugate-pairs", worst, tol, field.q1 - 1))
-    return rows
+    g, k = field.gauss_table, np.arange(1, field.q1)
+    pairs = g[k] * g[field.q1 - k] - field.q * _char_values(field, k, -field.one)
+    return [
+        CheckResult("gauss-trivial", _worst(g[:1] + 1), tol, 1),
+        CheckResult("gauss-conjugate-pairs", _worst(pairs), tol, field.q1 - 1),
+    ]
 
 
 def hasse_davenport_checks(field: FqField) -> list[CheckResult]:
-    """The product relation for m in {2, 3, 6}, over every twisting character."""
+    """The product relation for chi of order m in {2, 3, 6}, over every
+    twisting character psi = omega**k:
+
+        prod_{i<m} g(chi**i psi) = -g(psi**m) psi**(-m)(m) prod_{i<m} g(chi**i)
+    """
     tol = 1e-6 * field.q**3
+    g, q1, k = field.gauss_table, field.q1, np.arange(field.q1)
     rows = []
     for m in (2, 3, 6):
-        if field.q1 % m:
+        if q1 % m:
             rows.append(CheckResult(f"hasse-davenport-m{m}", 0.0, tol, 0, "m does not divide q-1"))
             continue
-        worst = max(check_hasse_davenport(m, MultChar(field, k)) for k in range(field.q1))
-        rows.append(CheckResult(f"hasse-davenport-m{m}", worst, tol, field.q1))
+        chi = np.arange(m)[:, None] * (q1 // m)
+        lhs = g[(chi + k) % q1].prod(axis=0)
+        rhs = -g[(m * k) % q1] * _char_values(field, -m * k, field.elem(m)) * g[chi].prod()
+        rows.append(CheckResult(f"hasse-davenport-m{m}", _worst(lhs - rhs), tol, q1))
     return rows
 
 
 def sextic_product_checks(field: FqField) -> list[CheckResult]:
-    """The sextic Gauss-sum product formula for every shift j."""
+    """The sextic product formula for every shift j, with t = (q-1)/6:
+
+        g(omega**(6j)) = prod_{i<6} g(omega**(i t + j))
+                         / (omega**(-6j)(6) * prod_{1<=i<6} g(omega**(i t)))
+    """
     tol = 1e-6 * field.q**3
     if field.q1 % 6:
         return [CheckResult("sextic-product", 0.0, tol, 0, "q is not 1 mod 6")]
-    worst = max(check_sextic_gauss_product(field, j) for j in range(field.q1))
-    return [CheckResult("sextic-product", worst, tol, field.q1)]
+    g, q1, j = field.gauss_table, field.q1, np.arange(field.q1)
+    it = np.arange(6)[:, None] * (q1 // 6)
+    num = g[(it + j) % q1].prod(axis=0)
+    den = _char_values(field, -6 * j, field.elem(6)) * g[it[1:]].prod()
+    return [CheckResult("sextic-product", _worst(g[(6 * j) % q1] - num / den), tol, q1)]
 
 
-def twisted_convolution_checks(field: FqField, lam_limit: int = 3) -> list[CheckResult]:
-    """The twisted full-cycle convolution over all (a, b) multiples of t."""
+def twisted_convolution_checks(field: FqField) -> list[CheckResult]:
+    """The twisted full-cycle convolution, for a, b multiples of t = (q-1)/6
+    and every lam with lam**6 != 1:
+
+        sum_j g(omega**(j+a)) g(omega**(-j+b)) omega**j(-1) omega**(6j)(lam)
+            = (q-1) g(omega**(a+b)) omega**b(-1) omega**(-(a+b))(1 - lam**6)
+
+    The left side is one inverse DFT over j per (a, b), read at 6 dlog lam.
+    """
     tol = 1e-6 * field.q**3
-    if field.q1 % 6:
+    q1 = field.q1
+    if q1 % 6:
         return [CheckResult("twisted-convolution", 0.0, tol, 0, "q is not 1 mod 6")]
-    lams = valid_lambdas(field, 6, lam_limit)
-    if not lams:
+    at = (6 * np.arange(q1)) % q1
+    at = at[at != 0]  # 6 dlog lam for every lam with lam**6 != 1
+    if not len(at):
         return [CheckResult("twisted-convolution", 0.0, tol, 0, "no lambda with lambda**6 != 1")]
-    t = field.q1 // 6
-    worst = 0.0
-    count = 0
-    for a in range(0, field.q1, t):
-        for b in range(0, field.q1, t):
-            for lam in lams:
-                worst = max(worst, check_twisted_gauss_convolution(a, b, lam))
-                count += 1
-    return [CheckResult("twisted-convolution", worst, tol, count)]
-
-
-def _worst(residuals: np.ndarray) -> float:
-    """The largest absolute residual, 0 when there is none."""
-    return float(np.abs(residuals).max(initial=0.0))
+    g, j = field.gauss_table, np.arange(q1)
+    pair = np.arange(36)[:, None]
+    a, b = pair // 6 * (q1 // 6), pair % 6 * (q1 // 6)
+    sign = _char_values(field, j, -field.one)
+    lhs = q1 * np.fft.ifft(g[(j + a) % q1] * g[(b - j) % q1] * sign, axis=1)[:, at]
+    one_minus = field.dlog_table[field.one_minus_table[field.exp_table[at]]]
+    rhs = q1 * g[(a + b) % q1] * sign[b] * field.unit_roots[(-(a + b) * one_minus) % q1]
+    return [CheckResult("twisted-convolution", _worst(lhs - rhs), tol, lhs.size)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,20 +173,19 @@ def orbit_closed_forms(field: FqField) -> dict[tuple[int, ...], np.ndarray]:
 
 
 def orbit_closed_form_checks(field: FqField, lams: list[FqElem] | None = None) -> list[CheckResult]:
-    """Per-class contribution against its closed form, one row per orbit,
-    both sides evaluated at every lam at once and compared at lams."""
+    """Per-class contribution against its closed form, one row per orbit;
+    valid for every nonzero lam (the sextic-power locus included).  Both
+    sides are evaluated at every lam at once and compared at lams."""
     tol = 1e-6 * field.q**4
     if field.q1 % 6:
         return [CheckResult("orbit-closed-forms", 0.0, tol, 0, "q is not 1 mod 6")]
     if lams is None:
-        lams = valid_lambdas(field, 6)
-    note = "" if lams else "no lambda with lambda**6 != 1"
+        lams = nonzero_lambdas(field)
     at = [lam.exp for lam in lams]
     rows = []
     for key, form in sorted(orbit_closed_forms(field).items()):
         contribution = class_contribution_by_dlog(field, 6, (1,) * 6, key)
-        worst = _worst(contribution[at] - form[at])
-        rows.append(CheckResult(f"orbit-{key}", worst, tol, len(lams), note))
+        rows.append(CheckResult(f"orbit-{key}", _worst(contribution[at] - form[at]), tol, len(lams)))
     return rows
 
 
@@ -230,9 +244,8 @@ def bridge_checks(field: FqField, count: int = 200, seed: int = 2026) -> list[Ch
         return [CheckResult("normalization-bridge", 0.0, 1e-6, 0, "no nontrivial character")]
     rng = np.random.default_rng(seed)
     eps = trivial_char(field)
-    worst = 0.0
-    done = 0
-    while done < count:
+    residuals = []
+    while len(residuals) < count:
         m = int(rng.integers(1, 5))
         ka = rng.integers(0, q1, m)
         kb = rng.integers(0, q1, m - 1)
@@ -244,9 +257,8 @@ def bridge_checks(field: FqField, count: int = 200, seed: int = 2026) -> list[Ch
         lower = (eps,) + tuple(MultChar(field, int(k)) for k in kb)
         x = field.from_id(int(rng.integers(0, field.q)))
         params = McCarthyParams(upper, lower, x)
-        worst = max(worst, abs(mccarthy_F(params) - mccarthy_to_greene(params)))
-        done += 1
-    return [CheckResult("normalization-bridge", worst, 1e-6, count)]
+        residuals.append(mccarthy_F(params) - mccarthy_to_greene(params))
+    return [CheckResult("normalization-bridge", _worst(np.array(residuals)), 1e-6, count)]
 
 
 def run_identity_suite(field: FqField) -> list[CheckResult]:

@@ -164,10 +164,9 @@ def test_criterion_07_per_orbit_and_kernel_identities():
         kernel_rows = kernel_identity_checks(field)
         assert len(kernel_rows) == 14
         if field.q == 7:
-            # no deformation value avoids the singular sixth roots over F_7,
-            # so the per-orbit rows are vacuous there; the kernel identities
-            # hold at every nonzero value and do run
-            assert all(row.count == 0 for row in orbit_rows)
+            # every nonzero deformation value is a singular sixth root over
+            # F_7; the per-orbit and kernel identities hold there too and run
+            assert all(row.count == field.q1 for row in orbit_rows)
             assert all(row.count == field.q1 for row in kernel_rows)
         else:
             assert all(row.count > 0 for row in orbit_rows)

@@ -1,6 +1,7 @@
-"""Multiplicative characters, Gauss and Jacobi sums, and the sum identities."""
+"""Multiplicative characters, Gauss and Jacobi sums, and integer rounding."""
 
 import cmath
+import math
 
 import pytest
 
@@ -8,9 +9,6 @@ from dworkcount.characters import (
     MultChar,
     char_at_minus_one,
     char_vector,
-    check_hasse_davenport,
-    check_sextic_gauss_product,
-    check_twisted_gauss_convolution,
     jacobi,
     jacobi_rows,
     norm_jacobi,
@@ -19,13 +17,9 @@ from dworkcount.characters import (
     round_to_int,
     trivial_char,
 )
-from dworkcount.errors import (
-    BadLambdaError,
-    BadModulusError,
-    BadParamsError,
-    MixedFieldsError,
-    RoundingFailure,
-)
+from dworkcount.errors import BadParamsError, MixedFieldsError, RoundingFailure
+from dworkcount.field import FqField
+from dworkcount.verify import hasse_davenport_checks, sextic_product_checks, twisted_convolution_checks
 
 
 def raw_gauss(chi):
@@ -198,37 +192,55 @@ def test_jacobi_fixtures_order_twelve_field(f13):
         assert abs(got - expected) < 1e-9
 
 
+
+# -- the sum identities the identity suite checks, instance by instance ----
+# `verify` checks each as one vector row; these read the field's Gauss
+# table one instance at a time, and the q != 1 mod m guards are note rows.
+
+
 def test_hasse_davenport_residuals(f13, f25):
+    # prod_{i<m} g(chi**i psi) = -g(psi**m) psi**(-m)(m) prod_{i<m} g(chi**i)
     for field in (f13, f25):
+        g, q1 = field.gauss_table, field.q1
         for m in (2, 3, 6):
-            for k in range(field.q1):
-                assert check_hasse_davenport(m, MultChar(field, k)) < 1e-6
-    with pytest.raises(BadModulusError):
-        check_hasse_davenport(5, MultChar(f13, 0))
+            chi = [i * q1 // m for i in range(m)]
+            for k in range(q1):
+                lhs = math.prod(g[(c + k) % q1] for c in chi)
+                rhs = -g[m * k % q1] * MultChar(field, -m * k)(field.elem(m)) * math.prod(g[c] for c in chi)
+                assert abs(lhs - rhs) < 1e-6
+    rows = {row.name: row for row in hasse_davenport_checks(FqField(5))}
+    for name in ("hasse-davenport-m3", "hasse-davenport-m6"):
+        assert (rows[name].count, rows[name].note) == (0, "m does not divide q-1")
 
 
 def test_sextic_product_residuals(f13):
-    for j in range(f13.q1):
-        assert check_sextic_gauss_product(f13, j) < 1e-6
-    with pytest.raises(BadModulusError):
-        check_sextic_gauss_product_field_mismatch()
-
-
-def check_sextic_gauss_product_field_mismatch():
-    from dworkcount.field import FqField
-
-    check_sextic_gauss_product(FqField(5), 0)
+    # g(omega**(6j)) = prod_{i<6} g(omega**(it+j)) / (omega**(-6j)(6) prod_{0<i<6} g(omega**(it)))
+    g, q1 = f13.gauss_table, f13.q1
+    t = q1 // 6
+    for j in range(q1):
+        num = math.prod(g[(i * t + j) % q1] for i in range(6))
+        den = MultChar(f13, -6 * j)(f13.elem(6)) * math.prod(g[i * t] for i in range(1, 6))
+        assert abs(g[6 * j % q1] - num / den) < 1e-6
+    (row,) = sextic_product_checks(FqField(5))
+    assert (row.count, row.note) == (0, "q is not 1 mod 6")
 
 
 def test_twisted_convolution_residuals(f13):
-    t = f13.q1 // 6
-    lam = f13.elem(2)
-    for a in range(0, f13.q1, t):
-        for b in range(0, f13.q1, t):
-            assert check_twisted_gauss_convolution(a, b, lam) < 1e-6
-    with pytest.raises(BadParamsError):
-        check_twisted_gauss_convolution(1, 0, lam)
-    with pytest.raises(BadLambdaError):
-        check_twisted_gauss_convolution(t, t, f13.zero)
-    with pytest.raises(BadLambdaError):
-        check_twisted_gauss_convolution(t, t, f13.one)
+    # sum_j g(omega**(j+a)) g(omega**(b-j)) omega**j(-1) omega**(6j)(lam)
+    #     = (q-1) g(omega**(a+b)) omega**b(-1) omega**(-(a+b))(1 - lam**6)
+    g, q1 = f13.gauss_table, f13.q1
+    t = q1 // 6
+    minus_one = -f13.one
+    lams = [lam for lam in f13.units() if lam**6 != f13.one]
+    assert len(lams) == 6
+    for lam in lams:
+        for a in range(0, q1, t):
+            for b in range(0, q1, t):
+                lhs = sum(
+                    g[(j + a) % q1] * g[(b - j) % q1] * MultChar(f13, j)(minus_one) * MultChar(f13, 6 * j)(lam)
+                    for j in range(q1)
+                )
+                rhs = q1 * g[(a + b) % q1] * char_at_minus_one(f13, b) * MultChar(f13, -(a + b))(f13.one - lam**6)
+                assert abs(lhs - rhs) < 1e-6
+    (row,) = twisted_convolution_checks(FqField(5))
+    assert (row.count, row.note) == (0, "q is not 1 mod 6")

@@ -144,6 +144,13 @@ def test_usage_errors_exit_two(capsys):
         ("table", "--degree", "6", "--p", "13", "--methods", "koblitz", "--tolerance", "nan"),
         "error: --tolerance must lie in [0, 0.5), not nan\n",
     ))
+    # F_2 and F_3 have no second primitive element to switch to
+    no_alt = "has only one primitive element, so there is no alternative generator\n"
+    cases += [
+        (("verify", "--p", "3", "--generator-alt"), "error: F_3 " + no_alt),
+        (("verify", "--p", "2", "--generator-alt"), "error: F_2 " + no_alt),
+        (("count", "--degree", "3", "--p", "3", "--lambda", "2", "--generator-alt"), "error: F_3 " + no_alt),
+    ]
     for argv, expected in cases:
         code, out, err = run_main(capsys, *argv)
         assert code == 2, argv

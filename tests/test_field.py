@@ -114,6 +114,14 @@ def test_alt_generator_differs_but_same_field(f13, f13_alt):
         assert len(orders) == 12
 
 
+def test_alt_generator_needs_two_primitive_elements():
+    # F_2 and F_3 have one primitive element each, F_4 has two
+    for q in (2, 3):
+        with pytest.raises(ValueError, match=f"F_{q} has only one primitive element"):
+            FqField(q, alt_generator=True)
+    assert FqField(2, 2, alt_generator=True).generator_id != FqField(2, 2).generator_id
+
+
 def test_modulus_is_irreducible(f25):
     # no root in the prime subfield for degree 2
     mod = f25.modulus

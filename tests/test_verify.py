@@ -1,5 +1,6 @@
 """The bundled identity suite must be green on its own fields."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from dworkcount.dwork import (
     miyatani_F_s,
 )
 from dworkcount.field import FqField
-from dworkcount.hypergeometric import McCarthyParams, mccarthy_F
+from dworkcount.hypergeometric import McCarthyParams, mccarthy_F, mccarthy_to_greene
 from dworkcount.verify import (
     KERNEL_IDENTITIES,
     CheckResult,
@@ -103,10 +104,34 @@ def test_twisted_rows_vacuous_on_singular_field(f7):
     assert rows[0].note
 
 
-def test_orbit_rows_vacuous_on_singular_field(f7):
+def test_orbit_rows_run_even_on_singular_field(f7):
+    # the closed forms hold on the sextic-power locus too, which over F_7
+    # is every nonzero deformation value
     rows = orbit_closed_form_checks(f7)
-    assert all(row.count == 0 for row in rows)
-    assert all(row.passed for row in rows)
+    assert len(rows) == 14
+    for row in rows:
+        assert row.count == f7.q1
+        assert row.passed, row.line()
+
+
+def test_modulus_guards_are_note_rows():
+    # 3 does not divide q - 1 = 4
+    field = FqField(5)
+    rows = {
+        row.name: row
+        for row in hasse_davenport_checks(field)
+        + sextic_product_checks(field)
+        + twisted_convolution_checks(field)
+        + orbit_closed_form_checks(field)
+        + kernel_identity_checks(field)
+    }
+    assert rows["hasse-davenport-m2"].count == field.q1
+    assert rows["hasse-davenport-m2"].passed
+    for name in ("hasse-davenport-m3", "hasse-davenport-m6"):
+        assert (rows[name].count, rows[name].note) == (0, "m does not divide q-1")
+    for name in ("sextic-product", "twisted-convolution", "orbit-closed-forms", "kernel-identities"):
+        assert (rows[name].count, rows[name].note) == (0, "q is not 1 mod 6")
+    assert all(row.passed for row in rows.values())
 
 
 def test_orbit_rows_are_the_fourteen_orbits(f13):
@@ -115,7 +140,7 @@ def test_orbit_rows_are_the_fourteen_orbits(f13):
     assert [row.name for row in rows] == [f"orbit-{rep}" for rep in reps]
     assert len(rows) == 14
     for row in rows:
-        assert row.count == len(valid_lambdas(f13, 6))
+        assert row.count == f13.q1
         assert row.passed, row.line()
 
 
@@ -133,6 +158,30 @@ def test_bridge_rows(f13):
     assert len(rows) == 1
     assert rows[0].count == 200
     assert rows[0].passed
+
+
+def test_a_nan_residual_fails_its_row(monkeypatch):
+    calls = []
+
+    def nan_for_the_fifth_tuple(params):
+        calls.append(params)
+        return complex("nan") if len(calls) == 5 else mccarthy_to_greene(params)
+
+    monkeypatch.setattr(verify, "mccarthy_to_greene", nan_for_the_fifth_tuple)
+    [row] = bridge_checks(FqField(13))
+    assert len(calls) == 200
+    assert not row.passed, row.line()
+
+    # one NaN Gauss sum fails every row that reads it
+    field = FqField(13)
+    field.gauss_table[1] = complex("nan")
+    rows = (
+        gauss_sum_checks(field)
+        + hasse_davenport_checks(field)
+        + sextic_product_checks(field)
+        + twisted_convolution_checks(field)
+    )
+    assert [row.name for row in rows if row.passed] == ["gauss-trivial"]
 
 
 # -- the per-lambda loops the vector checks replaced, kept as references ----
@@ -155,20 +204,20 @@ def reference_kernel_identity_value(field, w, lam):
     raise KeyError(w)
 
 
-def reference_kernel_worst(field, lams):
-    worst = {}
-    for label, *_ in KERNEL_IDENTITIES:
-        worst[f"kernel-{label}"] = max(
+def reference_kernel_residuals(field, lams):
+    return {
+        f"kernel-{label}": [
             abs(gamma_s(field, label) * miyatani_F_s(field, label, lam)
                 - reference_kernel_identity_value(field, label, lam))
             for lam in lams
-        )
-    return worst
+        ]
+        for label, *_ in KERNEL_IDENTITIES
+    }
 
 
-def reference_orbit_worst(field, lams):
+def reference_orbit_residuals(field, lams):
     sizes = {o.rep: o.size for o in enumerate_orbit_classes(6, 6, (1,) * 6)}
-    worst = dict.fromkeys(sorted(sizes), 0.0)
+    residuals = {key: [] for key in sorted(sizes)}
     for lam in lams:
         params = DworkParams(field, 6, lam)
         forms = {
@@ -178,22 +227,80 @@ def reference_orbit_worst(field, lams):
         forms[(0,) * 6] = (field.q**5 - 1) // (field.q - 1) + forms[(0,) * 6]
         diag = DiagonalParams(field, 6, (1,) * 6, lam)
         for key, value in forms.items():
-            worst[key] = max(worst[key], abs(class_contribution(diag, key) - value))
-    return {f"orbit-{key}": res for key, res in worst.items()}
+            residuals[key].append(abs(class_contribution(diag, key) - value))
+    return {f"orbit-{key}": res for key, res in residuals.items()}
+
+
+def reference_gauss_sums(field):
+    """g(omega**k) for every k, from the defining sum over F_q*."""
+    return [
+        sum(MultChar(field, k)(x) * field.psi_table[x.id] for x in field.units())
+        for k in range(field.q1)
+    ]
+
+
+def reference_character_residuals(field):
+    """Per-instance residuals of the Gauss-sum, Hasse-Davenport, sextic and
+    twisted-convolution identities, for a field with q = 1 mod 6."""
+    q, q1, t = field.q, field.q1, field.q1 // 6
+    g = reference_gauss_sums(field)
+
+    def w(k, x):
+        return MultChar(field, k)(x)
+
+    minus_one = -field.one
+    out = {
+        "gauss-trivial": [abs(g[0] + 1)],
+        "gauss-conjugate-pairs": [abs(g[k] * g[q1 - k] - q * w(k, minus_one)) for k in range(1, q1)],
+    }
+    # prod_{i<m} g(chi**i psi) = -g(psi**m) psi**(-m)(m) prod_{i<m} g(chi**i)
+    for m in (2, 3, 6):
+        chi = [i * q1 // m for i in range(m)]
+        out[f"hasse-davenport-m{m}"] = [
+            abs(math.prod(g[(c + k) % q1] for c in chi)
+                + g[m * k % q1] * w(-m * k, field.elem(m)) * math.prod(g[c] for c in chi))
+            for k in range(q1)
+        ]
+    # g(omega**(6j)) = prod_{i<6} g(omega**(it+j)) / (omega**(-6j)(6) prod_{0<i<6} g(omega**(it)))
+    out["sextic-product"] = [
+        abs(g[6 * j % q1] - math.prod(g[(i * t + j) % q1] for i in range(6))
+            / (w(-6 * j, field.elem(6)) * math.prod(g[i * t] for i in range(1, 6))))
+        for j in range(q1)
+    ]
+    # sum_j g(omega**(j+a)) g(omega**(b-j)) omega**j(-1) omega**(6j)(lam)
+    #     = (q-1) g(omega**(a+b)) omega**b(-1) omega**(-(a+b))(1 - lam**6)
+    out["twisted-convolution"] = [
+        abs(sum(g[(j + a) % q1] * g[(b - j) % q1] * w(j, minus_one) * w(6 * j, lam) for j in range(q1))
+            - q1 * g[(a + b) % q1] * w(b, minus_one) * w(-(a + b), field.one - lam**6))
+        for a in range(0, q1, t)
+        for b in range(0, q1, t)
+        for lam in field.units()
+        if lam**6 != field.one
+    ]
+    return out
 
 
 def test_vector_checks_match_the_per_lambda_reference(f13, f25):
     for field in (f13, f25):
-        for rows, lams, reference in [
-            (kernel_identity_checks(field), nonzero_lambdas(field), reference_kernel_worst),
-            (orbit_closed_form_checks(field), valid_lambdas(field, 6), reference_orbit_worst),
+        # the DworkParams reference refuses lambda**6 = 1
+        sextic_free = valid_lambdas(field, 6)
+        character_rows = (
+            gauss_sum_checks(field)
+            + hasse_davenport_checks(field)
+            + sextic_product_checks(field)
+            + twisted_convolution_checks(field)
+        )
+        for rows, reference in [
+            (kernel_identity_checks(field), reference_kernel_residuals(field, nonzero_lambdas(field))),
+            (orbit_closed_form_checks(field, sextic_free), reference_orbit_residuals(field, sextic_free)),
+            (character_rows, reference_character_residuals(field)),
         ]:
-            worst = reference(field, lams)
-            assert [row.name for row in rows] == list(worst)
+            assert [row.name for row in rows] == list(reference)
             for row in rows:
-                assert row.count == len(lams)
+                residuals = reference[row.name]
+                assert row.count == len(residuals)
                 assert row.passed, row.line()
-                assert abs(row.residual - worst[row.name]) <= 1e-6 * row.tol, row.line()
+                assert abs(row.residual - max(residuals)) <= 1e-6 * row.tol, row.line()
 
 
 def test_checks_gather_at_the_requested_lambdas(monkeypatch):
@@ -224,7 +331,7 @@ def test_checks_gather_at_the_requested_lambdas(monkeypatch):
     assert all(row.passed for row in orbit_closed_form_checks(field, [other]))
 
 
-@pytest.mark.parametrize("p", [61, 331])
+@pytest.mark.parametrize("p", [13, 61, 331])
 def test_sign_flipped_rows_fail(monkeypatch, p):
     # flip the sign of one kernel identity or one degree-6 closed form at a
     # time: that row, and no other, must fail
