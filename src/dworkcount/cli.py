@@ -17,31 +17,27 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .brute import dwork_counts_by_lambda
 from .characters import round_to_int
-from .diagonal import DiagonalParams, koblitz_total
-from .dwork import CLOSED_FORMS, DworkParams, greene_total, miyatani_dwork6_total
+from .diagonal import DiagonalParams, koblitz_remainder_by_dlog, main_term
+from .dwork import CLOSED_FORMS, greene_remainder_by_dlog, miyatani_remainder_by_dlog
 from .errors import CountingError, RoundingFailure
 from .field import FqElem, FqField
 from .verify import run_identity_suite, valid_lambdas
 
 BRUTE_SKIP_POINTS = 280_000_000
 
-# Every route: (degrees it covers, its total from the validated diagonal
-# parameters, or None for enumeration).  --methods, dispatch, rounding and
-# the CSV columns all read this table.  The lambdas look each total up by
-# name when called, so a wrapper bound to that module name sees every call.
+# Every route: (degrees it covers, its remainder vector from (field, degree),
+# or None for enumeration).  A remainder vector holds the route's count
+# minus its main term at every lam != 0, indexed by dlog lam, and is built
+# once per field.  --methods, dispatch, rounding and the CSV columns all
+# read this table.  The lambdas look each builder up by name when called,
+# so a wrapper bound to that module name sees every call.
 ROUTES = {
     "brute": ((3, 4, 5, 6), None),
-    "koblitz": ((3, 4, 5, 6), lambda diag: koblitz_total(diag)),
-    "greene": (
-        tuple(CLOSED_FORMS),
-        lambda diag: greene_total(DworkParams(diag.field, diag.d, diag.lam)),
-    ),
-    "miyatani": (
-        (6,),
-        lambda diag: miyatani_dwork6_total(DworkParams(diag.field, diag.d, diag.lam)),
-    ),
+    "koblitz": ((3, 4, 5, 6), lambda field, d: koblitz_remainder_by_dlog(field, d, (1,) * d)),
+    "greene": (tuple(CLOSED_FORMS), lambda field, d: greene_remainder_by_dlog(field, d)),
+    "miyatani": ((6,), lambda field, d: miyatani_remainder_by_dlog(field)),
 }
-ROUNDED = [name for name, (_, total) in ROUTES.items() if total is not None]
+ROUNDED = [name for name, (_, remainders) in ROUTES.items() if remainders is not None]
 CSV_HEADER = ",".join(
     ["q", "degree", "lambda"]
     + [f"count_{m}" for m in ROUTES]
@@ -107,23 +103,27 @@ def parse_lambda(field: FqField, text: str) -> FqElem:
 def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol: float) -> CountReport:
     report = CountReport(q=field.q, degree=degree, lam=_lambda_json(lam))
     # enumeration counts every fibre; only the character routes need valid parameters
-    character = any(ROUTES[method][1] for method in methods)
-    diag = DiagonalParams(field, degree, (1,) * degree, lam) if character else None
+    if any(ROUTES[method][1] for method in methods):
+        DiagonalParams(field, degree, (1,) * degree, lam)
     for method in methods:
         start = time.perf_counter()
-        total = ROUTES[method][1]
-        if total is None:
+        remainders = ROUTES[method][1]
+        if remainders is None:
             if field.q ** (degree - 1) > BRUTE_SKIP_POINTS:
                 report.counts[method] = "skipped"
                 continue
             counts = field.plan(("brute", degree), lambda: dwork_counts_by_lambda(field, degree))
             report.counts[method] = int(counts[lam.id])
         else:
+            # accept or refuse on the float total; print the exact main term
+            # plus the rounded remainder, which stays exact above 2**53
+            main = main_term(field.q, degree)
+            remainder = complex(remainders(field, degree)[lam.exp])
             try:
-                value, residual = round_to_int(total(diag), tol)
+                _, residual = round_to_int(main + remainder, tol)
             except RoundingFailure as exc:
                 raise RoundingFailure(f"{method}: {exc}") from None
-            report.counts[method] = value
+            report.counts[method] = main + round(remainder.real)
             report.residuals[method] = residual
         report.ms[method] = (time.perf_counter() - start) * 1000
     return report

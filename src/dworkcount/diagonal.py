@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +64,12 @@ class DiagonalParams:
         return self.field.q1 // self.d
 
 
+def main_term(q: int, n: int) -> int:
+    """(q**(n-1) - 1)/(q - 1), the Weil term of w = 0 and the exact integer
+    part every route adds to its float remainder."""
+    return (q ** (n - 1) - 1) // (q - 1)
+
+
 def weil_point_count(field: FqField, d: int, n: int, w: tuple[int, ...]) -> complex:
     """The diagonal-hypersurface term N_q(0, w) for one exponent vector w.
 
@@ -85,7 +90,7 @@ def weil_point_count(field: FqField, d: int, n: int, w: tuple[int, ...]) -> comp
 def _weil_term(field: FqField, g, w: tuple[int, ...]) -> complex:
     """weil_point_count for a valid w, given g[i] = g(omega**(i (q-1)/d))."""
     if not any(w):
-        return complex((field.q ** (len(w) - 1) - 1) // (field.q - 1))
+        return complex(main_term(field.q, len(w)))
     if not all(w):
         return 0j
     return math.prod((g[wi] for wi in w), start=1 + 0j) / field.q
@@ -127,15 +132,6 @@ def _shift_classes(
     return tuple(classes)
 
 
-@functools.lru_cache(maxsize=None)
-def _weil_table(d: int, n: int, h: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each shift class, in class order, the members whose Weil term is
-    non-zero (every coordinate non-zero, or the zero vector), in member
-    order.  Depends on (d, n, h) only, so it is built once."""
-    classes = _shift_classes(d, n, h)
-    return tuple(tuple(v for v in members if all(v) or not any(v)) for _, members in classes)
-
-
 @dataclass(frozen=True)
 class OrbitClass:
     """One orbit of shift classes under coordinate permutations.
@@ -150,11 +146,13 @@ class OrbitClass:
     classes: tuple[tuple[int, ...], ...]
 
 
-def enumerate_orbit_classes(d: int, n: int, h: tuple[int, ...]) -> list[OrbitClass]:
+@functools.lru_cache(maxsize=None)
+def enumerate_orbit_classes(d: int, n: int, h: tuple[int, ...]) -> tuple[OrbitClass, ...]:
     """Partition the shift classes into coordinate-permutation orbits.
 
     Requires a constant weight vector (the symmetric family), since
-    permutations act on classes only when they fix h.
+    permutations act on classes only when they fix h.  Depends on (d, n, h)
+    only, so it is built once.
     """
     if len(set(h)) != 1:
         raise BadParamsError("permutation orbits need a constant weight vector")
@@ -162,88 +160,52 @@ def enumerate_orbit_classes(d: int, n: int, h: tuple[int, ...]) -> list[OrbitCla
     for rep, members in _shift_classes(d, n, h):
         key = min(tuple(sorted(v)) for v in members)
         orbits.setdefault(key, []).append(rep)
-    return [
+    return tuple(
         OrbitClass(rep=key, size=len(members), classes=tuple(sorted(members)))
         for key, members in sorted(orbits.items())
-    ]
+    )
 
 
-class _ClassPlan:
-    """The lambda-independent parts of the Koblitz sum for one (field, d, h).
-
-    Holds the Gauss rows g(omega**(w t + h_i j)) for every (w, h_i), the
-    denominator row g(omega**(d j)), and, once koblitz_total asks for them,
-    each shift class's summed Weil terms: d * len(set(h)) + 1 rows of q - 1
-    values.  The per-class numerators are rebuilt for every fibre, never
-    stored: one row per shift class (1296 for the sextic) would cost far
-    more memory than the rows above.
-    """
-
-    def __init__(self, field: FqField, d: int, h: tuple[int, ...]):
-        q1, t = field.q1, field.q1 // d
-        g = field.gauss_table
-        self.d, self.h = d, h
-        self.reps = [rep for rep, _ in _shift_classes(d, len(h), h)]
-        self.j = np.arange(q1, dtype=np.int64)
-        self.rows = {(wi, hi): g[(wi * t + hi * self.j) % q1] for wi in range(d) for hi in set(h)}
-        self.den = g[(d * self.j) % q1]
-        self._weil_sums: list[complex] | None = None
-
-    def weil_sums(self, field: FqField) -> list[complex]:
-        """Summed Weil terms of each class, in class and member order."""
-        if self._weil_sums is None:
-            g = list(field.gauss_table[:: field.q1 // self.d])
-            self._weil_sums = []
-            for members in _weil_table(self.d, len(self.h), self.h):
-                total = 0j
-                for v in members:
-                    total += _weil_term(field, g, v)
-                self._weil_sums.append(total)
-        return self._weil_sums
-
-    def twist(self, params: "DiagonalParams") -> np.ndarray:
-        """omega**(d j)(d lam) for every j: the factor that carries lambda."""
-        field = params.field
-        dlam = field.elem(self.d) * params.lam
-        return field.unit_roots[(self.d * self.j * dlam.exp) % field.q1]
-
-    def ratios(self, ws) -> Iterator[np.ndarray]:
-        """prod_i g(omega**(w_i t + h_i j)) / g(omega**(d j)) over j for each
-        weight vector in ws, in order: the lambda-free part of its average.
-
-        Each numerator is the left-to-right product of its Gauss rows,
-        starting from ones; the factors a vector shares as a prefix with
-        the one before are reused, which leaves every product unchanged.
-        """
-        q1 = len(self.j)
-        partial = [np.ones(q1, dtype=np.complex128)]
-        prev: tuple[int, ...] = ()
-        for w in ws:
-            k = 0
-            while k < len(prev) and w[k] == prev[k]:
-                k += 1
-            del partial[k + 1 :]
-            for wi, hi in zip(w[k:], self.h[k:]):
-                partial.append(partial[-1] * self.rows[wi % self.d, hi])
-            prev = w
-            yield partial[-1] / self.den
-
-    def gauss_averages(self, ws, tw: np.ndarray) -> Iterator[complex]:
-        """The Gauss average of each weight vector in ws, in order."""
-        q1 = len(self.j)
-        for ratio in self.ratios(ws):
-            yield complex(np.add.reduce(ratio * tw) / q1)
+@functools.lru_cache(maxsize=None)
+def _koblitz_terms(
+    d: int, n: int, h: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]], ...]:
+    """The shift classes grouped by equal contribution, as (representative,
+    weight, the members of the representative's class with every coordinate
+    non-zero).  For constant h a group is a permutation orbit, weighted by
+    its size: permuting w permutes the factors of both its Weil terms and
+    its Gauss-ratio row.  Otherwise every class is its own group.  Depends
+    on (d, n, h) only, so it is built once."""
+    if len(set(h)) == 1:
+        groups = [(o.rep, o.size) for o in enumerate_orbit_classes(d, n, h)]
+    else:
+        groups = [(rep, 1) for rep, _ in _shift_classes(d, n, h)]
+    return tuple(
+        (rep, weight, tuple(v for v in class_members(d, h, rep) if all(v)))
+        for rep, weight in groups
+    )
 
 
-def _class_plan(field: FqField, d: int, h: tuple[int, ...]) -> _ClassPlan:
-    return field.plan(("koblitz", d, h), lambda: _ClassPlan(field, d, h))
+def _gauss_ratio(field: FqField, d: int, h: tuple[int, ...], w) -> np.ndarray:
+    """prod_i g(omega**(w_i t + h_i j)) / g(omega**(d j)) over j = 0..q-2:
+    the lambda-free row of the Gauss average of the class of w."""
+    q1, t = field.q1, field.q1 // d
+    j = np.arange(q1, dtype=np.int64)
+    rows = (field.gauss_table[(wi * t + hi * j) % q1] for wi, hi in zip(w, h))
+    numerator = math.prod(rows, start=np.ones(q1, dtype=np.complex128))
+    return numerator / field.gauss_table[(d * j) % q1]
+
+
+def _at_dlam(field: FqField, d: int, averages: np.ndarray) -> np.ndarray:
+    """Entry e is averages[d * dlog(d lam)] for lam = g**e: the twist
+    omega**(d j)(d lam) makes a Gauss average that entry of the inverse DFT
+    of its ratio row."""
+    dlam = int(field.elem(d).exp) + np.arange(field.q1)
+    return averages[(d * dlam) % field.q1]
 
 
 def _weil_sum(field: FqField, d: int, members) -> complex:
-    total = 0j
-    for v in members:
-        total += weil_point_count(field, d, len(v), v)
-    return total
+    return sum((weil_point_count(field, d, len(v), v) for v in members), 0j)
 
 
 def class_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
@@ -255,8 +217,11 @@ def class_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     The product is only meaningful as a whole; any member of the class gives
     the same value, since shifting w by h reindexes j.
     """
-    plan = _class_plan(params.field, params.d, params.h)
-    return next(plan.gauss_averages([w], plan.twist(params)))
+    field, d = params.field, params.d
+    ratio = _gauss_ratio(field, d, params.h, w)
+    dlam = field.elem(d) * params.lam
+    twist = field.unit_roots[(d * np.arange(field.q1) * dlam.exp) % field.q1]
+    return complex(ratio @ twist / field.q1)
 
 
 def class_contribution(params: DiagonalParams, w: tuple[int, ...]) -> complex:
@@ -269,14 +234,11 @@ def class_gauss_average_by_dlog(
     field: FqField, d: int, h: tuple[int, ...], w: tuple[int, ...]
 ) -> np.ndarray:
     """class_gauss_average for every lam != 0: entry e is the average at
-    lam = g**e.  The twist omega**(d j)(d lam) makes the average entry
-    d * dlog(d lam) of one inverse DFT of the lambda-free ratio row; the
-    singular fibre is included, since the formula itself does not exclude it."""
+    lam = g**e, one inverse DFT of the lambda-free ratio row.  The singular
+    fibre is included, since the formula itself does not exclude it."""
     if d < 1 or field.q1 % d != 0:
         raise BadDegreeError(f"degree {d} does not divide q-1 = {field.q1}")
-    averages = np.fft.ifft(next(_class_plan(field, d, h).ratios([w])))
-    dlam = int(field.elem(d).exp) + np.arange(field.q1)
-    return averages[(d * dlam) % field.q1]
+    return _at_dlam(field, d, np.fft.ifft(_gauss_ratio(field, d, h, w)))
 
 
 def class_contribution_by_dlog(
@@ -287,13 +249,33 @@ def class_contribution_by_dlog(
     return weil + class_gauss_average_by_dlog(field, d, h, w)
 
 
+def koblitz_remainder_by_dlog(field: FqField, d: int, h: tuple[int, ...]) -> np.ndarray:
+    """The class-by-class count minus its main term, for every lam != 0:
+    entry e is the value at lam = g**e, the singular fibre included.
+
+    Per group of equal classes (_koblitz_terms), the non-zero Weil terms
+    are lambda-free, and the Gauss averages of all classes are entries of
+    one inverse DFT of the weighted sum of their ratio rows.  Built once per
+    field and (d, h).
+    """
+    if d < 1 or field.q1 % d != 0:
+        raise BadDegreeError(f"degree {d} does not divide q-1 = {field.q1}")
+
+    def build():
+        g = field.gauss_table[:: field.q1 // d]
+        weil = 0j
+        ratios = np.zeros(field.q1, dtype=np.complex128)
+        for rep, weight, members in _koblitz_terms(d, len(h), h):
+            weil += weight * sum(_weil_term(field, g, v) for v in members)
+            ratios += weight * _gauss_ratio(field, d, h, rep)
+        return weil + _at_dlam(field, d, np.fft.ifft(ratios))
+
+    return field.plan(("koblitz", d, h), build)
+
+
 def koblitz_total(params: DiagonalParams) -> complex:
     """The projective point count of the deformed diagonal hypersurface,
-    summed class by class, before integer rounding."""
-    plan = _class_plan(params.field, params.d, params.h)
-    averages = plan.gauss_averages(plan.reps, plan.twist(params))
-    total = 0j
-    for weil, average in zip(plan.weil_sums(params.field), averages):
-        total += weil + average
-    return total
-
+    before integer rounding: the exact main term plus the fibre's entry of
+    koblitz_remainder_by_dlog, in one addition."""
+    remainder = koblitz_remainder_by_dlog(params.field, params.d, params.h)[params.lam.exp]
+    return main_term(params.field.q, params.n) + complex(remainder)

@@ -3,8 +3,9 @@
 Two independent routes.  The closed forms express the count through a fixed
 list of binomial-normalized hypergeometric values with Jacobi-sum
 coefficients (four terms for degree 4, six for degree 5, fifteen for degree
-6), each written once as rows of CLOSED_FORMS: greene_total evaluates them
-and the identity suite checks the degree-6 rows orbit by orbit.  The kernel
+6), each written once as rows of CLOSED_FORMS: greene_remainder_by_dlog
+evaluates them at every lam at once and the identity suite checks the
+degree-6 rows orbit by orbit.  The kernel
 route instead sums gamma(s) * F(s) over the 6**4 classes of the
 exponent-matrix kernel, where F(s) is a reduced Gauss-sum-normalized
 hypergeometric value; a preflight report asserts the structural conditions
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from .characters import (
     jacobi,
     norm_jacobi,
 )
+from .diagonal import main_term
 from .errors import (
     BadDegreeError,
     BadLambdaError,
@@ -40,6 +43,7 @@ from .field import FqElem, FqField
 from .hypergeometric import (
     GreeneParams,
     _cancel_common,
+    _mccarthy_spectrum,
     _mccarthy_value,
     _mccarthy_vector,
     greene_F,
@@ -179,13 +183,25 @@ def closed_form_term_by_dlog(field: FqField, d: int, row, coef: int) -> np.ndarr
     return value * greene_F_by_dlog(up, lo)[-dlam % field.q1]
 
 
+def greene_remainder_by_dlog(field: FqField, d: int) -> np.ndarray:
+    """The closed form for degree d minus its main term, for every lam != 0:
+    entry e is the sum of the rows' terms at lam = g**e, the locus
+    lam**d = 1 included.  Built once per field."""
+    if d not in CLOSED_FORMS:
+        degrees = ", ".join(map(str, CLOSED_FORMS))
+        raise BadDegreeError(f"closed forms cover degrees {degrees}, not {d}")
+
+    def build():
+        return sum(closed_form_term_by_dlog(field, d, row, row[1]) for row in CLOSED_FORMS[d])
+
+    return field.plan(("greene", d), build)
+
+
 def greene_total(params: DworkParams) -> complex:
-    """The closed form for params.degree, before rounding."""
-    q, d = params.field.q, params.degree
-    total = (q ** (d - 1) - 1) // (q - 1) + 0j
-    for row in CLOSED_FORMS[d]:
-        total += closed_form_term(params, row, row[1])
-    return total
+    """The closed form for params.degree, before rounding: the exact main
+    term plus the fibre's entry of greene_remainder_by_dlog, in one addition."""
+    remainder = greene_remainder_by_dlog(params.field, params.degree)[params.lam.exp]
+    return main_term(params.field.q, params.degree) + complex(remainder)
 
 
 def smith_normal_form(mat) -> tuple[int, ...]:
@@ -387,35 +403,34 @@ def miyatani_preflight(field: FqField) -> MiyataniPreflight:
     )
 
 
-def _miyatani_plan(field: FqField) -> tuple[MiyataniPreflight, list, tuple[int, ...]]:
-    """The preflight report and, when it passes, gamma(s) and the reduced
-    exponents of each key of the kernel table, and each class's index into
-    the keys: ints and scalars only, no reference to the field."""
+def miyatani_remainder_by_dlog(field: FqField) -> np.ndarray:
+    """The kernel-route count minus its main term (q**5 - 1)/(q - 1), for
+    every lam != 0: entry e is the value at lam = g**e, the locus lam**6 = 1
+    included.  The sum of gamma(s) F(s) over the 6**4 kernel classes is one
+    inverse DFT: per distinct sorted key, its multiplicity times gamma(s)
+    times the Gauss-sum coefficient row of F(s) with its (-1) twist, read at
+    x = 1/lam**6.  Built once per field, after the preflight passes."""
 
     def build():
         report = miyatani_preflight(field)
         if not report.ok:
-            return report, [], ()
+            raise PreconditionError(f"kernel-route preconditions failed: {report}")
         _, index, keys = _kernel_table()
-        terms = [(gamma_s(field, w), *_absolute(field, exps)) for w, exps in keys]
-        return report, terms, index
+        multiplicity = Counter(index)
+        spectrum = np.zeros(field.q1, dtype=np.complex128)
+        for i, (w, exps) in enumerate(keys):
+            row = _mccarthy_spectrum(field, *_absolute(field, exps))
+            spectrum += multiplicity[i] * gamma_s(field, w) * row
+        # the total subtracts sum gamma F, and F(x) = -ifft(row)[dlog x]
+        return np.fft.ifft(spectrum)[(-6 * np.arange(field.q1)) % field.q1]
 
     return field.plan(("miyatani",), build)
 
 
 def miyatani_dwork6_total(params: DworkParams) -> complex:
-    """Kernel-route count: (q**5 - 1)/(q - 1) minus the sum of gamma(s) F(s)
-    over all 6**4 kernel classes, in kernel order, before rounding; each
-    distinct sorted key is evaluated once, as miyatani_F_s does."""
+    """Kernel-route count before rounding: the exact main term plus the
+    fibre's entry of miyatani_remainder_by_dlog, in one addition."""
     if params.degree != 6:
         raise BadDegreeError("the kernel route covers degree 6 only")
-    field = params.field
-    report, terms, index = _miyatani_plan(field)
-    if not report.ok:
-        raise PreconditionError(f"kernel-route preconditions failed: {report}")
-    x = (params.lam**6).inverse().exp
-    values = [gam * _mccarthy_value(field, up, lo, x) for gam, up, lo in terms]
-    total = 0j
-    for i in index:
-        total += values[i]
-    return (field.q**5 - 1) // (field.q - 1) - total
+    remainder = miyatani_remainder_by_dlog(params.field)[params.lam.exp]
+    return main_term(params.field.q, 6) + complex(remainder)

@@ -311,8 +311,13 @@ class FqField:
         self.psi_table = np.exp(2j * np.pi * self.trace_table / p)
         # g(omega**k) for all k at once: the sum over x != 0 of
         # omega**k(x) psi(x) is a length-(q-1) inverse DFT of psi(g**m).
-        a = self.psi_table[self.exp_table]
-        self.gauss_table = q1 * np.fft.ifft(a)
+        # Angles and transform run in extended precision: a double 2*pi
+        # gives phase errors that grow with the trace and add up coherently
+        # (2e-13 at q = 2017), enough to move a count near 2**44 off its
+        # integer; rounded from long double the table is off by ~4e-15.
+        tau = 2 * np.arccos(np.longdouble(-1))
+        a = np.exp(1j * (tau / p) * self.trace_table[self.exp_table].astype(np.longdouble))
+        self.gauss_table = (q1 * np.fft.ifft(a)).astype(np.complex128)
 
     def plan(self, key: tuple, build):
         """The lambda-independent plan stored under key, made by build() on

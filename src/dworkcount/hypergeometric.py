@@ -8,7 +8,7 @@ sums by unshifted ones.  reduce_params cancels matching upper/lower
 parameters, and mccarthy_to_greene converts a value of the second kind with
 trivial leading lower parameter into the first normalization.
 mccarthy_F_by_dlog and greene_F_by_dlog give a value at every nonzero
-argument at once, for the identity suite.
+argument at once, for the counting routes and the identity suite.
 """
 
 from __future__ import annotations
@@ -166,6 +166,15 @@ def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
     return acc
 
 
+def _mccarthy_spectrum(field: FqField, upper, lower) -> np.ndarray:
+    """The coefficients times chi(-1)**m over chi = omega**j: the row c with
+    mccarthy_F(x) = -1/(q-1) * sum_j c[j] * omega**j(x)."""
+    j = np.arange(field.q1, dtype=np.int64)
+    minus_one = int(field.dlog_table[field.neg_table[1]])
+    twist = field.unit_roots[(j * len(upper) * minus_one) % field.q1]
+    return _mccarthy_coefficients(field, upper, lower) * twist
+
+
 def _mccarthy_value(field: FqField, upper, lower, x_exp: int) -> complex:
     """mccarthy_F at x = g**x_exp for the exponent lists upper and lower."""
     q1 = field.q1
@@ -191,18 +200,12 @@ def mccarthy_F(params: McCarthyParams) -> complex:
 # -- every nonzero argument at once ----------------------------------------
 #
 # Each value above is sum_j c[j] * omega**j(x) with c free of x, so one
-# inverse DFT of c gives the value at every x != 0, indexed by dlog x.  The
-# single-x functions keep their own contraction, so the counting routes
-# round exactly as before.
+# inverse DFT of c gives the value at every x != 0, indexed by dlog x.
 
 
 def _mccarthy_vector(field: FqField, upper, lower) -> np.ndarray:
     """_mccarthy_value at every x != 0: entry u is the value at x = g**u."""
-    q1 = field.q1
-    j = np.arange(q1, dtype=np.int64)
-    minus_one = int(field.dlog_table[field.neg_table[1]])
-    twist = field.unit_roots[(j * len(upper) * minus_one) % q1]
-    return -np.fft.ifft(_mccarthy_coefficients(field, upper, lower) * twist)
+    return -np.fft.ifft(_mccarthy_spectrum(field, upper, lower))
 
 
 def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:

@@ -17,7 +17,6 @@ DFT, a vector over dlog x that the row reads at the lambdas it checks.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .characters import (
     jacobi,
     trivial_char,
 )
-from .diagonal import class_contribution_by_dlog, enumerate_orbit_classes
+from .diagonal import class_contribution_by_dlog, enumerate_orbit_classes, main_term
 from .dwork import (
     CLOSED_FORMS,
     closed_form_term_by_dlog,
@@ -153,22 +152,17 @@ def twisted_convolution_checks(field: FqField) -> list[CheckResult]:
     return [CheckResult("twisted-convolution", _worst(lhs - rhs), tol, lhs.size)]
 
 
-@functools.lru_cache(maxsize=None)
-def _sextic_orbit_sizes() -> dict[tuple[int, ...], int]:
-    return {o.rep: o.size for o in enumerate_orbit_classes(6, 6, (1,) * 6)}
-
-
 def orbit_closed_forms(field: FqField) -> dict[tuple[int, ...], np.ndarray]:
     """Closed-form values of the per-class contribution at every lam != 0,
     indexed by dlog lam and keyed by orbit representative: each degree-6 row
     of CLOSED_FORMS with its coefficient divided by the orbit size.  The main
     term joins the zero orbit."""
-    sizes = _sextic_orbit_sizes()
+    sizes = {o.rep: o.size for o in enumerate_orbit_classes(6, 6, (1,) * 6)}
     forms = {
         row[0]: closed_form_term_by_dlog(field, 6, row, row[1] // sizes[row[0]])
         for row in CLOSED_FORMS[6]
     }
-    forms[(0,) * 6] = (field.q**5 - 1) // (field.q - 1) + forms[(0,) * 6]
+    forms[(0,) * 6] = main_term(field.q, 6) + forms[(0,) * 6]
     return forms
 
 

@@ -279,25 +279,25 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
     counted(dwork, "jacobi")
     counted(cli, "dwork_counts_by_lambda")
     counted(brute, "projective_count")
-    # the Weil tables depend on (d, n, h) alone and the kernel table on
+    # the koblitz class groups depend on (d, n, h) alone and the kernel table on
     # nothing: one build each per process
-    diagonal._weil_table.cache_clear()
+    diagonal._koblitz_terms.cache_clear()
     dwork._kernel_table.cache_clear()
     cases = [
-        # one Weil table, one kernel table and one preflight for the whole
+        # one class grouping, one kernel table and one preflight for the whole
         # sweep; no Weil term is validated vector by vector
         (61, 6, ["koblitz", "greene", "miyatani"], 54,
-         {"weil_tables": 1, "kernel_tables": 1, "miyatani_preflight": 1, "jacobi": 5}),
+         {"koblitz_terms": 1, "kernel_tables": 1, "miyatani_preflight": 1, "jacobi": 5}),
         # one scan gives every brute count; no fibre is enumerated on its own
         (31, 5, ["brute", "koblitz", "greene"], 25,
-         {"weil_tables": 1, "dwork_counts_by_lambda": 1}),
-        # a sweep without enumeration builds no scan, and the degree-5 Weil
-        # table of the last field serves this one
+         {"koblitz_terms": 1, "dwork_counts_by_lambda": 1}),
+        # a sweep without enumeration builds no scan, and the degree-5 class
+        # grouping of the last field serves this one
         (31, 5, ["koblitz"], 25, {}),
     ]
     for p, degree, methods, fibres, expected in cases:
         calls.clear()
-        builds = diagonal._weil_table.cache_info().misses
+        builds = diagonal._koblitz_terms.cache_info().misses
         kernel_builds = dwork._kernel_table.cache_info().misses
         field = FqField(p)
         lams = valid_lambdas(field, degree)
@@ -305,7 +305,7 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
             report = run_count(field, degree, lam, methods, 1e-3)
             assert report.consistent
         assert len(lams) == fibres
-        calls["weil_tables"] = diagonal._weil_table.cache_info().misses - builds
+        calls["koblitz_terms"] = diagonal._koblitz_terms.cache_info().misses - builds
         calls["kernel_tables"] = dwork._kernel_table.cache_info().misses - kernel_builds
         assert +calls == expected, methods
 
@@ -335,3 +335,48 @@ def test_brute_skip_marker_builds_no_scan(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["counts"] == {"brute": "skipped"}
+
+
+# exact counts of fibres above 2**53, where the float total alone would
+# print a count on a grid of spacing 4 or more
+LARGE_FIBRES = {
+    (12007, 2): 20786191929012960,
+    (12007, 3): 20786145764510592,
+    (12007, 5): 20786045140341216,
+    (131071, 2): 295141145190943633920,
+}
+
+
+@pytest.mark.parametrize("q, lam", [(12007, 2), (12007, 3), (12007, 5)])
+def test_counts_above_2_53_are_exact(capsys, q, lam):
+    code, out, err = run_main(
+        capsys, "count", "--degree", "6", "--p", str(q), "--lambda", str(lam),
+        "--methods", "koblitz,miyatani",
+    )
+    assert code == 0, err
+    expected = LARGE_FIBRES[q, lam]
+    assert json.loads(out)["counts"] == {"koblitz": expected, "miyatani": expected}
+
+
+@pytest.mark.parametrize("method", ["koblitz", "miyatani"])
+def test_counts_near_2_68_are_exact_or_refused(capsys, method):
+    code, out, err = run_main(
+        capsys, "count", "--degree", "6", "--p", "131071", "--lambda", "2", "--methods", method
+    )
+    if code == 0:
+        assert json.loads(out)["counts"] == {method: LARGE_FIBRES[131071, 2]}
+    else:
+        assert code == 3 and err.startswith(f"verification failure: {method}: "), err
+
+
+@pytest.mark.parametrize("q", [2017, 3457])
+def test_koblitz_and_miyatani_accept_the_reference_pool_near_2_44(q):
+    # counts in [2**43, 2**46): one float ulp is as coarse as the rounding
+    # tolerance, so an inaccurate Gauss table refuses these fibres
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference_counts.json"
+    pool = json.loads(path.read_text())["cold6"][str(q)]
+    assert len(pool) == 16
+    field = FqField(q)
+    for lam, expected in pool.items():
+        report = run_count(field, 6, field.elem(int(lam)), ["koblitz", "miyatani"], 1e-3)
+        assert report.counts == {"koblitz": expected["count"], "miyatani": expected["count"]}
