@@ -4,13 +4,13 @@ Two independent routes.  The closed forms express the count through a fixed
 list of binomial-normalized hypergeometric values with Jacobi-sum
 coefficients (four terms for degree 4, six for degree 5, fifteen for degree
 6), each written once as rows of CLOSED_FORMS: greene_remainder_by_dlog
-evaluates them at every lam at once and the identity suite checks the
-degree-6 rows orbit by orbit.  The kernel
-route instead sums gamma(s) * F(s) over the 6**4 classes of the
-exponent-matrix kernel, where F(s) is a reduced Gauss-sum-normalized
-hypergeometric value; a preflight report asserts the structural conditions
-the route needs (divisibility, Smith normal form, vanishing of the two
-auxiliary terms) instead of assuming them.
+evaluates them at every lam with one inverse DFT, every Jacobi sum read from
+one base table per field, and the identity suite checks the degree-6 rows
+orbit by orbit.  The kernel route instead sums gamma(s) * F(s) over the 6**4
+classes of the exponent-matrix kernel, where F(s) is a reduced
+Gauss-sum-normalized hypergeometric value; a preflight report asserts the
+structural conditions the route needs (divisibility, Smith normal form,
+vanishing of the two auxiliary terms) instead of assuming them.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (
-    MultChar,
-    char_at_minus_one,
-    char_vector,
-    jacobi,
-    norm_jacobi,
-)
+from .characters import MultChar, char_at_minus_one, char_vector
 from .diagonal import main_term
 from .errors import (
     BadDegreeError,
@@ -43,11 +37,12 @@ from .field import FqElem, FqField
 from .hypergeometric import (
     GreeneParams,
     _cancel_common,
+    _greene_spectrum,
     _mccarthy_spectrum,
     _mccarthy_value,
     _mccarthy_vector,
     greene_F,
-    greene_F_by_dlog,
+    jacobi_base,
 )
 
 
@@ -121,22 +116,25 @@ def closed_form_constants(field: FqField, d: int) -> tuple[complex, ...]:
     """The lambda-free constants the rows of CLOSED_FORMS[d] index, computed
     once per field.  Degree 6: w6(-1), J(w6, w3, w2), J(w2, conj w3, conj w6),
     J(w6, w6, conj w3), J(w3, w3, w3), J(w6, w6).  Degree 4: w4(-1) and
-    (conj w4; w4).  Degree 5: none."""
+    (conj w4; w4).  Degree 5: none.  Each triple is J(a, b) J(ab, c), as ab
+    is nontrivial in all four, with J(ab, c) = -c(-1) exactly as abc is
+    trivial; each pair J(a, c) = q c(-1) (a; conj c) reads jacobi_base, the
+    rows of the hypergeometric values, so that their errors cancel."""
 
     def build():
-        t = field.q1 // d
-        w = [MultChar(field, i * t) for i in range(d)]
+        t, base = field.q1 // d, jacobi_base(field, d)
+
+        def pair(a, c):  # J(omega**(a t), omega**(c t))
+            minus_one = char_at_minus_one(field, c * t)
+            return field.q * minus_one * complex(base[(a + c) % d, -c * t % field.q1])
+
         if d == 6:
-            return (
-                char_at_minus_one(field, t),
-                jacobi((w[1], w[2], w[3])),
-                jacobi((w[3], w[4], w[5])),
-                jacobi((w[1], w[1], w[4])),
-                jacobi((w[2], w[2], w[2])),
-                jacobi((w[1], w[1])),
-            )
+            # J(a, b, c) = J(a, b) J(ab, c) = -c(-1) J(a, b)
+            triples = ((1, 2, 3), (3, 4, 5), (1, 1, 4), (2, 2, 2))
+            js = [-char_at_minus_one(field, c * t) * pair(a, b) for a, b, c in triples]
+            return (char_at_minus_one(field, t), *js, pair(1, 1))
         if d == 4:
-            return char_at_minus_one(field, t), norm_jacobi(w[3], w[1])
+            return char_at_minus_one(field, t), complex(base[2, t])
         return ()
 
     return field.plan(("closed-form", d), build)
@@ -170,17 +168,27 @@ def closed_form_term(params: DworkParams, row, coef: int) -> complex:
 
 
 def closed_form_term_by_dlog(field: FqField, d: int, row, coef: int) -> np.ndarray:
-    """closed_form_term for every lam != 0: entry e is the term at lam = g**e.
-    The hypergeometric value comes from one vector over dlog x, read at
-    x = 1/lam**d; the sextic-power locus lam**d = 1 is included."""
+    """closed_form_term for every lam != 0: entry e is the term at lam = g**e,
+    the sextic-power locus lam**d = 1 included."""
+    return _closed_forms_by_dlog(field, d, [(row, coef)])
+
+
+def _closed_forms_by_dlog(field: FqField, d: int, terms) -> np.ndarray:
+    """The sum of closed_form_term over (row, coef) in terms, for every
+    lam != 0: the rows' hypergeometric spectra, on jacobi_base(field, d), are
+    summed in place and take one inverse DFT, read at x = 1/lam**d."""
     if field.q1 % d != 0:
         raise BadModulusError(f"q = {field.q} is not 1 mod {d}")
-    value, up, lo = _closed_form_row(field, d, row, coef)
-    dlam = d * np.arange(field.q1)
-    if up is None:
-        one_minus = field.one_minus_table[field.exp_table[dlam % field.q1]]
-        return value * char_vector(field, field.q1 // 2)[one_minus]
-    return value * greene_F_by_dlog(up, lo)[-dlam % field.q1]
+    dlam = d * np.arange(field.q1) % field.q1
+    total, spectra = np.zeros((2, field.q1), dtype=np.complex128)
+    for row, coef in terms:
+        value, up, lo = _closed_form_row(field, d, row, coef)
+        if up is None:
+            one_minus = field.one_minus_table[field.exp_table[dlam]]
+            total += value * char_vector(field, field.q1 // 2)[one_minus]
+        else:
+            spectra += value * _greene_spectrum(field, up, lo, jacobi_base(field, d))
+    return total + np.fft.ifft(spectra)[-dlam % field.q1]
 
 
 def greene_remainder_by_dlog(field: FqField, d: int) -> np.ndarray:
@@ -192,7 +200,7 @@ def greene_remainder_by_dlog(field: FqField, d: int) -> np.ndarray:
         raise BadDegreeError(f"closed forms cover degrees {degrees}, not {d}")
 
     def build():
-        return sum(closed_form_term_by_dlog(field, d, row, row[1]) for row in CLOSED_FORMS[d])
+        return _closed_forms_by_dlog(field, d, [(row, row[1]) for row in CLOSED_FORMS[d]])
 
     return field.plan(("greene", d), build)
 

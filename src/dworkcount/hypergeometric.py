@@ -6,9 +6,10 @@ more it is a character sum of normalized Jacobi sums.  The Gauss-sum
 normalization takes equal-length parameter lists and divides shifted Gauss
 sums by unshifted ones.  reduce_params cancels matching upper/lower
 parameters, and mccarthy_to_greene converts a value of the second kind with
-trivial leading lower parameter into the first normalization.
-mccarthy_F_by_dlog and greene_F_by_dlog give a value at every nonzero
-argument at once, for the counting routes and the identity suite.
+trivial leading lower parameter into the first normalization.  The by_dlog
+forms give a value at every nonzero argument as one inverse DFT of a
+lambda-free spectrum; Jacobi rows of powers of omega**((q-1)/d) are slices
+of jacobi_base, and Gauss-sum factors slices of one doubled Gauss table.
 """
 
 from __future__ import annotations
@@ -89,11 +90,32 @@ class McCarthyParams:
         return len(self.upper)
 
 
-def _greene_chi_rows(field: FqField, upper, lower) -> np.ndarray:
+def jacobi_base(field: FqField, d: int) -> np.ndarray:
+    """B[k, j] = (omega**(k t + j); omega**j) for k < d, t = (q-1)/d, once per
+    field and d, doubled along j so that (omega**(a t + j); omega**(b t + j))
+    = B[a - b, b t + j] is a zero-copy slice.  One jacobi_rows call per row
+    bounds the build's memory by one row's, about 75 MB at q near 2**20."""
+
+    def build():
+        base = np.empty((d, 2, field.q1), dtype=np.complex128)
+        for k in range(d):
+            base[k] = jacobi_rows(field, [k * (field.q1 // d)], [0])
+        return base.reshape(d, 2 * field.q1)
+
+    return field.plan(("jacobi-base", d), build)
+
+
+def _greene_chi_rows(field: FqField, upper, lower, base=None):
     """Row i, entry j is (A_i omega**j; B_i omega**j) for j = 0..q-2, with
     B_0 = eps: the product over rows is the lambda-free coefficient vector
-    of the character sum."""
-    return jacobi_rows(field, [a.k for a in upper], [0] + [b.k for b in lower])
+    of the character sum.  The rows come from one jacobi_rows call, or as
+    slices of base = jacobi_base(field, d) when every character is a power
+    of omega**((q-1)/d)."""
+    ka, kb = [a.k for a in upper], [0] + [b.k for b in lower]
+    if base is None:
+        return jacobi_rows(field, ka, kb)
+    t = field.q1 // len(base)
+    return [base[(a - b) // t % len(base), b : b + field.q1] for a, b in zip(ka, kb)]
 
 
 def _chi_sum(field: FqField, rows: np.ndarray, x: FqElem) -> complex:
@@ -154,16 +176,17 @@ def greene_F(params: GreeneParams) -> complex:
 def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
     """prod_i [g(A_i omega**j)/g(A_i)][g(conj(B_i omega**j))/g(conj(B_i))] for
     j = 0..q-2, with A_i = omega**upper[i] and B_i = omega**lower[i]: the
-    lambda-free coefficients of the Gauss-sum normalization."""
+    lambda-free coefficients of the Gauss-sum normalization.  Each factor is
+    a slice of the Gauss table doubled once per field, read backwards for
+    the lower parameters, and the g(A_i), g(conj(B_i)) divide once."""
     q1 = field.q1
-    g = field.gauss_table
-    j = np.arange(q1, dtype=np.int64)
-    acc = np.ones(q1, dtype=np.complex128)
-    for a in upper:
-        acc = acc * g[(a + j) % q1] / g[a]
-    for b in lower:
-        acc = acc * g[(-b - j) % q1] / g[(-b) % q1]
-    return acc
+    g = field.plan(("gauss-doubled",), lambda: np.concatenate((field.gauss_table,) * 2))
+    acc, norm = np.ones(q1, dtype=np.complex128), 1 + 0j
+    # g[::-1][s + j] = g(omega**(-1 - s - j)): s = b - 1 gives conj(B omega**j)
+    for s, table in [(a % q1, g) for a in upper] + [((b - 1) % q1, g[::-1]) for b in lower]:
+        acc *= table[s : s + q1]
+        norm *= table[s]
+    return acc / norm
 
 
 def _mccarthy_spectrum(field: FqField, upper, lower) -> np.ndarray:
@@ -215,20 +238,29 @@ def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
     return _mccarthy_vector(field, [a.k for a in upper], [b.k for b in lower])
 
 
-def greene_F_by_dlog(upper, lower) -> np.ndarray:
-    """greene_F(upper; lower; x) for every x != 0: entry u is the value at
-    x = g**u.  For n >= 2 this is the character sum; for n = 1 the average
-    over y is a correlation over the cyclic group of dlogs, sum_a f(a) h(a+u)
-    with f = A_1(y) (conj(A_1) B_1)(1-y) and h = conj(A_0)(1-z)."""
-    field = _check_greene(upper, lower)
+def _greene_spectrum(field: FqField, upper, lower, base=None) -> np.ndarray:
+    """The lambda-free row s with greene_F(x) = ifft(s)[dlog x] for every
+    x != 0.  For n >= 2 it is q times the product of the character-sum rows
+    (_greene_chi_rows, with base); for n = 1 the average over y is a
+    correlation over the cyclic group of dlogs, sum_a f(a) h(a+u) with
+    f = A_1(y) (conj(A_1) B_1)(1-y) and h = conj(A_0)(1-z)."""
     if len(lower) >= 2:
-        coeffs = np.prod(_greene_chi_rows(field, upper, lower), axis=0)
-        return field.q * np.fft.ifft(coeffs)
+        rows = _greene_chi_rows(field, upper, lower, base)
+        acc = field.q * rows[0]
+        for row in rows[1:]:
+            acc *= row
+        return acc
     sign, v1, v2, v3 = _greene_2f1_factors(field, upper, lower)
     f = (v1 * v2)[field.exp_table]
     # sum_a f(a) h(a+u) is the convolution of f(-a) with h
     spectra = np.fft.fft([np.roll(f[::-1], 1), v3[field.exp_table]], axis=1)
-    return sign / field.q * np.fft.ifft(spectra[0] * spectra[1])
+    return sign / field.q * spectra[0] * spectra[1]
+
+
+def greene_F_by_dlog(upper, lower) -> np.ndarray:
+    """greene_F(upper; lower; x) for every x != 0: entry u is the value at
+    x = g**u, the character sum for n >= 2 and the average for n = 1."""
+    return np.fft.ifft(_greene_spectrum(_check_greene(upper, lower), upper, lower))
 
 
 def _cancel_common(upper, lower, key=lambda v: v) -> list[list]:

@@ -15,6 +15,7 @@ import dworkcount.brute as brute
 import dworkcount.cli as cli
 import dworkcount.diagonal as diagonal
 import dworkcount.dwork as dwork
+import dworkcount.hypergeometric as hypergeometric
 from dworkcount.brute import dwork_polynomial, projective_count
 from dworkcount.cli import main, run_count
 from dworkcount.field import FqField
@@ -276,7 +277,10 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
 
     counted(diagonal, "weil_point_count")
     counted(dwork, "miyatani_preflight")
-    counted(dwork, "jacobi")
+    # the greene route reads every Jacobi sum, its constants included, from
+    # one base table per field and degree, built with one jacobi_rows call
+    # per row: d calls per field, and no other
+    counted(hypergeometric, "jacobi_rows")
     counted(cli, "dwork_counts_by_lambda")
     counted(brute, "projective_count")
     # the koblitz class groups depend on (d, n, h) alone and the kernel table on
@@ -287,10 +291,10 @@ def test_field_plans_are_built_once_and_die_with_the_field(monkeypatch):
         # one class grouping, one kernel table and one preflight for the whole
         # sweep; no Weil term is validated vector by vector
         (61, 6, ["koblitz", "greene", "miyatani"], 54,
-         {"koblitz_terms": 1, "kernel_tables": 1, "miyatani_preflight": 1, "jacobi": 5}),
+         {"koblitz_terms": 1, "kernel_tables": 1, "miyatani_preflight": 1, "jacobi_rows": 6}),
         # one scan gives every brute count; no fibre is enumerated on its own
         (31, 5, ["brute", "koblitz", "greene"], 25,
-         {"koblitz_terms": 1, "dwork_counts_by_lambda": 1}),
+         {"koblitz_terms": 1, "dwork_counts_by_lambda": 1, "jacobi_rows": 5}),
         # a sweep without enumeration builds no scan, and the degree-5 class
         # grouping of the last field serves this one
         (31, 5, ["koblitz"], 25, {}),
@@ -351,11 +355,11 @@ LARGE_FIBRES = {
 def test_counts_above_2_53_are_exact(capsys, q, lam):
     code, out, err = run_main(
         capsys, "count", "--degree", "6", "--p", str(q), "--lambda", str(lam),
-        "--methods", "koblitz,miyatani",
+        "--methods", "koblitz,greene,miyatani",
     )
     assert code == 0, err
     expected = LARGE_FIBRES[q, lam]
-    assert json.loads(out)["counts"] == {"koblitz": expected, "miyatani": expected}
+    assert json.loads(out)["counts"] == {m: expected for m in ("koblitz", "greene", "miyatani")}
 
 
 @pytest.mark.parametrize("method", ["koblitz", "miyatani"])
@@ -367,6 +371,34 @@ def test_counts_near_2_68_are_exact_or_refused(capsys, method):
         assert json.loads(out)["counts"] == {method: LARGE_FIBRES[131071, 2]}
     else:
         assert code == 3 and err.startswith(f"verification failure: {method}: "), err
+
+
+# reference-pool fibres whose greene totals were off their integer by more
+# than the tolerance when the closed-form constants were three-character
+# convolutions and not entries of the rows the hypergeometric values read
+GREENE_POOL_FIBRES = {
+    3271: (900, 1781, 2361, 3099),
+    3517: (22, 1553, 2620),
+    3697: (2280,),
+    3793: (2174, 2451),
+    3877: (46, 1023, 1402, 2172, 3181, 3533, 3762),
+    3919: (33, 2269),
+    3943: (1483,),
+    4003: (254, 412, 992, 2826),
+}
+
+
+@pytest.mark.parametrize("q", sorted(GREENE_POOL_FIBRES))
+def test_greene_accepts_the_reference_pool_fibres_near_2_48(capsys, q):
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference_counts.json"
+    pool = json.loads(path.read_text())["cold6"][str(q)]
+    for lam in GREENE_POOL_FIBRES[q]:
+        code, out, err = run_main(
+            capsys, "count", "--degree", "6", "--p", str(q), "--lambda", str(lam),
+            "--methods", "greene",
+        )
+        assert code == 0, err
+        assert json.loads(out)["counts"] == {"greene": pool[str(lam)]["count"]}
 
 
 @pytest.mark.parametrize("q", [2017, 3457])

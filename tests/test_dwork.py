@@ -26,6 +26,7 @@ from dworkcount.dwork import (
     DworkParams,
     MiyataniPreflight,
     _kernel_table,
+    closed_form_constants,
     closed_form_term,
     closed_form_term_by_dlog,
     gamma_s,
@@ -443,6 +444,30 @@ def test_greene_total_rounds_like_the_typed_forms(f11, f13, f17, f31):
         # a tenth of the rounding tolerance
         assert abs(total - reference) < 1e-4
     assert len(fibres) == (54 + 6 + 2) + (8 + 12) + (5 + 25 + 35)
+
+
+@pytest.mark.parametrize("p, e, d", [(13, 1, 6), (5, 2, 6), (61, 1, 6), (13, 1, 4), (5, 2, 4)])
+def test_closed_form_constants_match_the_defining_sums(p, e, d):
+    field = FqField(p, e)
+    t = field.q1 // d
+    w = [MultChar(field, i * t) for i in range(d)]
+    sign = char_at_minus_one(field, t)
+    if d == 6:
+        expected = (
+            sign,
+            jacobi((w[1], w[2], w[3])),
+            jacobi((w[3], w[4], w[5])),
+            jacobi((w[1], w[1], w[4])),
+            jacobi((w[2], w[2], w[2])),
+            jacobi((w[1], w[1])),
+        )
+    else:
+        # (conj w4; w4) = w4(-1)/q J(conj w4, conj w4)
+        expected = (sign, sign / field.q * jacobi((w[3], w[3])))
+    constants = closed_form_constants(field, d)
+    assert len(constants) == len(expected)
+    for value, reference in zip(constants, expected):
+        assert abs(value - reference) < 1e-10 * field.q
 
 
 def test_closed_form_rows_sum_their_orbits(f11, f13):

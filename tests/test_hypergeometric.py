@@ -1,9 +1,11 @@
 """Hypergeometric values in both normalizations, against raw definitions."""
 
+import numpy as np
 import pytest
 
 from dworkcount.characters import (
     MultChar,
+    jacobi_rows,
     norm_jacobi,
     trivial_char,
 )
@@ -12,11 +14,13 @@ from dworkcount.field import FqElem, FqField
 from dworkcount.hypergeometric import (
     GreeneParams,
     McCarthyParams,
+    _greene_chi_rows,
     greene_F,
     greene_F_by_dlog,
     greene_F_chi_sum,
     mccarthy_F,
     mccarthy_F_by_dlog,
+    jacobi_base,
     mccarthy_to_greene,
     reduce_params,
 )
@@ -330,3 +334,20 @@ def test_by_dlog_guards(f13, f25):
         mccarthy_F_by_dlog((a,), (MultChar(f25, 1),))
     with pytest.raises(MixedFieldsError):
         greene_F_by_dlog((a, b), (MultChar(f25, 1),))
+
+
+@pytest.mark.parametrize("p, e, d", [(13, 1, 6), (5, 2, 6), (61, 1, 6), (13, 1, 4), (5, 2, 4)])
+def test_jacobi_base_slices_are_the_jacobi_rows(p, e, d):
+    # for every pair of powers of w = omega**t, the character-sum row
+    # (w**a omega**j; w**b omega**j) is a view into the base table
+    field = FqField(p, e)
+    t = field.q1 // d
+    base = jacobi_base(field, d)
+    assert base.shape == (d, 2 * field.q1)
+    for a in range(d):
+        for b in range(d):
+            upper = (MultChar(field, t), MultChar(field, a * t))
+            rows = _greene_chi_rows(field, upper, (MultChar(field, b * t),), base)
+            assert np.shares_memory(rows[1], base)
+            expected = jacobi_rows(field, [a * t], [b * t])[0]
+            assert np.abs(rows[1] - expected).max() < 1e-12
