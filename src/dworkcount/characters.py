@@ -137,21 +137,29 @@ def jacobi_rows(field: FqField, ka, kb) -> np.ndarray:
 
     Over x != 0, 1 with u = dlog x and v = dlog(1-x), the summand of J is
     zeta**(ka u - kb v) * zeta**(j (u - v)) with zeta = exp(2 pi i/(q-1)), so
-    each row is one inverse DFT of the histogram of the first factor over
-    u - v mod q-1.  All rows share one bincount and one batched FFT.
+    each row is one inverse DFT of the first factor placed at u - v mod q-1.
+    As x -> x/(1-x) maps F_q minus {0, 1} one-to-one onto F_q* minus {-1},
+    u - v takes each value d once, except dlog(-1): u and v laid out by d
+    give the placed factor for all rows in one gather, and one batched FFT.
     """
     q1 = field.q1
     ka = np.asarray(ka, dtype=np.int64)[:, None] % q1
     kb = np.asarray(kb, dtype=np.int64)[:, None] % q1
-    u = field.dlog_table[2:]
-    v = field.dlog_table[field.one_minus_table[2:]]
-    weights = field.unit_roots[(ka * u - kb * v) % q1].ravel()
-    bins = (np.arange(len(ka))[:, None] * q1 + (u - v) % q1).ravel()
-    size = len(ka) * q1
-    hist = np.bincount(bins, weights.real, size) + 1j * np.bincount(bins, weights.imag, size)
-    j = np.arange(q1)
-    sign = field.unit_roots[((kb + j) * field.dlog_table[field.neg_table[1]]) % q1]
-    return sign * (q1 / field.q) * np.fft.ifft(hist.reshape(-1, q1), axis=1)
+    minus_one = field.dlog_table[field.neg_table[1]]
+    # x != 0, 1 are the ids from 2 on
+    du, dv = field.dlog_table[2:], field.dlog_table[field.one_minus_table[2:]]
+    (u, v), d = np.zeros((2, q1), dtype=np.int64), (du - dv) % q1
+    u[d], v[d] = du, dv
+    phase = ka * u
+    phase -= kb * v
+    phase %= q1
+    rows = field.unit_roots[phase]
+    rows[:, minus_one] = 0
+    rows = np.fft.ifft(rows, axis=1, out=rows)
+    # the sign omega**(kb + j)(-1) as a column times a row, in place
+    rows *= (q1 / field.q) * field.unit_roots[(kb * minus_one) % q1]
+    rows *= field.unit_roots[(np.arange(q1) * minus_one) % q1]
+    return rows
 
 
 def char_at_minus_one(field: FqField, k: int) -> complex:

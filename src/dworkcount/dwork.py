@@ -39,7 +39,7 @@ from .hypergeometric import (
     _cancel_common,
     _greene_spectrum,
     _mccarthy_spectrum,
-    _mccarthy_value,
+    _mccarthy_values,
     _mccarthy_vector,
     greene_F,
     jacobi_base,
@@ -293,20 +293,19 @@ def _kernel_table() -> tuple[tuple, tuple[int, ...], tuple]:
     return classes, index, tuple((w, _reduced_exponents(w)) for w in reps)
 
 
-def gamma_s(field: FqField, w) -> complex:
-    """The coefficient -prod_i g(omega**(-t*w_i)) of the kernel class s = t*w."""
-    t, g = field.q1 // 6, field.gauss_table
-    prod = -1 + 0j
-    for wi in w:
-        prod *= g[(-t * wi) % field.q1]
-    return prod
+def gamma_s(field: FqField, w):
+    """The coefficient -prod_i g(omega**(-t*w_i)) of the kernel class s = t*w,
+    for one class w or for each row of an array of classes."""
+    t = field.q1 // 6
+    return -field.gauss_table[(-t * np.asarray(w)) % field.q1].prod(axis=-1)
 
 
-def _absolute(field: FqField, exponents) -> list[list[int]]:
-    """Exponent lists in units of t = (q-1)/6 as exponents of omega."""
+def _absolute(field: FqField, exponents) -> np.ndarray:
+    """The upper and lower exponent lists in units of t = (q-1)/6 as one-row
+    blocks of exponents of omega, shape (2, 1, m)."""
     if field.q1 % 6:
         raise BadModulusError(f"q = {field.q} is not 1 mod 6")
-    return [[field.q1 // 6 * k for k in exps] for exps in exponents]
+    return field.q1 // 6 * np.array(exponents)[:, None]
 
 
 def miyatani_F_s(field: FqField, w, lam: FqElem) -> complex:
@@ -323,12 +322,12 @@ def miyatani_F_s(field: FqField, w, lam: FqElem) -> complex:
     if lam.is_zero:
         raise BadLambdaError("the kernel route needs lambda != 0")
     upper, lower = _absolute(field, _reduced_exponents(w))
-    return _mccarthy_value(field, upper, lower, (lam**6).inverse().exp)
+    return complex(_mccarthy_values(field, upper, lower, [(lam**6).inverse().id])[0])
 
 
 def miyatani_F_s_by_dlog(field: FqField, w) -> np.ndarray:
     """miyatani_F_s for every lam != 0: entry u is the value at 1/lam**6 = g**u."""
-    return _mccarthy_vector(field, *_absolute(field, _reduced_exponents(w)))
+    return _mccarthy_vector(field, *_absolute(field, _reduced_exponents(w)))[0]
 
 
 @dataclass(frozen=True)
@@ -425,10 +424,11 @@ def miyatani_remainder_by_dlog(field: FqField) -> np.ndarray:
             raise PreconditionError(f"kernel-route preconditions failed: {report}")
         _, index, keys = _kernel_table()
         multiplicity = Counter(index)
+        gammas = gamma_s(field, [w for w, _ in keys])
         spectrum = np.zeros(field.q1, dtype=np.complex128)
-        for i, (w, exps) in enumerate(keys):
-            row = _mccarthy_spectrum(field, *_absolute(field, exps))
-            spectrum += multiplicity[i] * gamma_s(field, w) * row
+        for i, (_, exps) in enumerate(keys):
+            row = _mccarthy_spectrum(field, *_absolute(field, exps))[0]
+            spectrum += multiplicity[i] * gammas[i] * row
         # the total subtracts sum gamma F, and F(x) = -ifft(row)[dlog x]
         return np.fft.ifft(spectrum)[(-6 * np.arange(field.q1)) % field.q1]
 

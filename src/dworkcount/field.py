@@ -318,6 +318,9 @@ class FqField:
         tau = 2 * np.arccos(np.longdouble(-1))
         a = np.exp(1j * (tau / p) * self.trace_table[self.exp_table].astype(np.longdouble))
         self.gauss_table = (q1 * np.fft.ifft(a)).astype(np.complex128)
+        # g(eps) sums psi over F_q*, that is -psi(0) = -1; the transform's
+        # cancellation leaves an error that grows with q (4e-14 near 2**20)
+        self.gauss_table[0] = -1
 
     def plan(self, key: tuple, build):
         """The lambda-independent plan stored under key, made by build() on

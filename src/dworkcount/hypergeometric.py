@@ -6,10 +6,13 @@ more it is a character sum of normalized Jacobi sums.  The Gauss-sum
 normalization takes equal-length parameter lists and divides shifted Gauss
 sums by unshifted ones.  reduce_params cancels matching upper/lower
 parameters, and mccarthy_to_greene converts a value of the second kind with
-trivial leading lower parameter into the first normalization.  The by_dlog
-forms give a value at every nonzero argument as one inverse DFT of a
-lambda-free spectrum; Jacobi rows of powers of omega**((q-1)/d) are slices
-of jacobi_base, and Gauss-sum factors slices of one doubled Gauss table.
+trivial leading lower parameter into the first normalization.  Each value
+is written once, for a block of parameter rows of one length with one
+argument per row; mccarthy_F, greene_F and mccarthy_to_greene are one-row
+views of those blocks.  The by_dlog forms give a value at every nonzero
+argument as one inverse DFT of a lambda-free spectrum; Jacobi rows of
+powers of omega**((q-1)/d) are slices of jacobi_base, and Gauss-sum factors
+windows of one doubled Gauss table.
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (
-    MultChar,
-    char_at_minus_one,
-    jacobi_rows,
-    norm_jacobi,
-)
+from .characters import MultChar, jacobi_rows
 from .errors import BadParamsError, MixedFieldsError, PreconditionError
 from .field import FqElem, FqField
 
@@ -118,10 +116,21 @@ def _greene_chi_rows(field: FqField, upper, lower, base=None):
     return [base[(a - b) // t % len(base), b : b + field.q1] for a, b in zip(ka, kb)]
 
 
-def _chi_sum(field: FqField, rows: np.ndarray, x: FqElem) -> complex:
-    """q/(q-1) * sum_j prod_i rows[i, j] * omega**j(x), for x != 0."""
-    chi_x = field.unit_roots[(np.arange(field.q1) * x.exp) % field.q1]
-    return complex(field.q / field.q1 * (np.prod(rows, axis=0) @ chi_x))
+def _char_table(field: FqField, k, ids) -> np.ndarray:
+    """omega**k at element ids, zero at id 0, with k and ids broadcast."""
+    values = field.unit_roots[(k * field.dlog_table[ids]) % field.q1]
+    values *= ids != 0
+    return values
+
+
+def _at_x(field: FqField, c: np.ndarray, x_ids) -> np.ndarray:
+    """sum_j c[r, j] * omega**j(x_r) for each row r: zero where x_r = 0."""
+    return (c * _char_table(field, np.arange(field.q1), np.asarray(x_ids)[:, None])).sum(axis=1)
+
+
+def _chi_sums(field: FqField, rows: np.ndarray, x_ids) -> np.ndarray:
+    """q/(q-1) * sum_j prod_i rows[r, i, j] * omega**j(x_r) for each r."""
+    return field.q / field.q1 * _at_x(field, rows.prod(axis=1), x_ids)
 
 
 def greene_F_chi_sum(params: GreeneParams) -> complex:
@@ -132,80 +141,78 @@ def greene_F_chi_sum(params: GreeneParams) -> complex:
     which is the defining branch for n >= 2 (and agrees with the n = 1
     average as an identity).
     """
-    if params.x.is_zero:
-        return 0j
-    rows = _greene_chi_rows(params.field, params.upper, params.lower)
-    return _chi_sum(params.field, rows, params.x)
+    field = params.field
+    rows = _greene_chi_rows(field, params.upper, params.lower)
+    return complex(_chi_sums(field, rows[None], [params.x.id])[0])
 
 
-def _greene_2f1_factors(field: FqField, upper, lower):
-    """The lambda-free parts of the n = 1 average: the sign (A_1 B_1)(-1),
-    and over element ids y, A_1(y) * (conj(A_1) B_1)(1-y) and conj(A_0)(1-y)."""
-    a0, a1 = upper
-    b1 = lower[0]
-    v1 = a1.value_vector()
-    v2 = (a1.conj() * b1).value_vector()[field.one_minus_table]
-    v3 = a0.conj().value_vector()[field.one_minus_table]
-    return char_at_minus_one(field, a1.k + b1.k), v1, v2, v3
+def _greene_2f1_factors(field: FqField, a0, a1, b1):
+    """The lambda-free parts of the n = 1 average for exponents a_0, a_1, b_1,
+    each an integer or an (R, 1) column: the sign (A_1 B_1)(-1), and over
+    element ids y, A_1(y) * (conj(A_1) B_1)(1-y) and conj(A_0)(1-y)."""
+    dlog, one_minus = field.dlog_table, field.one_minus_table
+    sign = field.unit_roots[(a1 + b1) * dlog[field.neg_table[1]] % field.q1]
+    v12 = field.unit_roots[(a1 * dlog + (b1 - a1) * dlog[one_minus]) % field.q1]
+    v12[..., :2] = 0  # y = 0 and y = 1 are ids 0 and 1
+    return sign, v12, _char_table(field, -a0, one_minus)
 
 
-def _greene_2f1_average(params: GreeneParams) -> complex:
-    """The one-lower-parameter form
+def _greene_2f1_values(field: FqField, ka, kb, x_ids) -> np.ndarray:
+    """The one-lower-parameter form, one value per exponent row ka = (a_0,
+    a_1), kb = (b_1) and argument id x_ids[r]:
 
         eps(x) * (A_1 B_1)(-1)/q * sum_y A_1(y) (conj(A_1) B_1)(1-y) conj(A_0)(1-xy).
     """
-    x = params.x
-    if x.is_zero:
-        return 0j
-    field = params.field
-    sign, v1, v2, v3 = _greene_2f1_factors(field, params.upper, params.lower)
-    ids = np.arange(field.q, dtype=np.int64)
-    xy = np.zeros(field.q, dtype=np.int64)
-    xy[1:] = field.exp_table[(field.dlog_table[ids[1:]] + x.exp) % field.q1]
-    return sign / field.q * complex(v1 @ (v2 * v3[xy]))
+    ka, x, y = np.asarray(ka), np.asarray(x_ids)[:, None], np.arange(field.q)
+    sign, v12, v3 = _greene_2f1_factors(field, ka[:, :1], ka[:, 1:], np.asarray(kb))
+    xy = np.where(y == 0, 0, field.exp_table[(field.dlog_table[x] + field.dlog_table[y]) % field.q1])
+    values = sign[:, 0] / field.q * (v12 * np.take_along_axis(v3, xy, axis=1)).sum(axis=1)
+    return np.where(x[:, 0] == 0, 0, values)
 
 
 def greene_F(params: GreeneParams) -> complex:
     """The binomial-normalized hypergeometric value: the explicit average
     for n = 1 and the character sum for n >= 2 (two distinct definitions)."""
     if params.n == 1:
-        return _greene_2f1_average(params)
+        ka, kb = [[a.k for a in params.upper]], [[params.lower[0].k]]
+        return complex(_greene_2f1_values(params.field, ka, kb, [params.x.id])[0])
     return greene_F_chi_sum(params)
 
 
 def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
-    """prod_i [g(A_i omega**j)/g(A_i)][g(conj(B_i omega**j))/g(conj(B_i))] for
-    j = 0..q-2, with A_i = omega**upper[i] and B_i = omega**lower[i]: the
-    lambda-free coefficients of the Gauss-sum normalization.  Each factor is
-    a slice of the Gauss table doubled once per field, read backwards for
-    the lower parameters, and the g(A_i), g(conj(B_i)) divide once."""
-    q1 = field.q1
-    g = field.plan(("gauss-doubled",), lambda: np.concatenate((field.gauss_table,) * 2))
-    acc, norm = np.ones(q1, dtype=np.complex128), 1 + 0j
-    # g[::-1][s + j] = g(omega**(-1 - s - j)): s = b - 1 gives conj(B omega**j)
-    for s, table in [(a % q1, g) for a in upper] + [((b - 1) % q1, g[::-1]) for b in lower]:
-        acc *= table[s : s + q1]
-        norm *= table[s]
-    return acc / norm
+    """Row r, entry j is prod_i [g(A_i omega**j)/g(A_i)][g(conj(B_i omega**j))/g(conj(B_i))]
+    for j = 0..q-2, with A_i = omega**upper[r, i] and B_i = omega**lower[r, i]
+    for exponents in [0, q-1): the lambda-free coefficients of the Gauss-sum
+    normalization.  Each factor is a window of the Gauss table doubled once
+    per field, read backwards for the lower parameters; column j = 0 is the
+    product of the g(A_i), g(conj(B_i)) that divide."""
+
+    def windows():
+        g = np.concatenate((field.gauss_table,) * 2 + (field.gauss_table[:1],))
+        return [np.lib.stride_tricks.sliding_window_view(t, field.q1) for t in (g, g[::-1])]
+
+    # g[2(q-1) - s] = g(omega**-s), so rev[b][j] = g(omega**(-b - j))
+    win, rev = field.plan(("gauss-windows",), windows)
+    acc = win[np.asarray(upper).T].prod(axis=0)
+    acc *= rev[np.asarray(lower).T].prod(axis=0)
+    return acc / acc[:, :1]
 
 
 def _mccarthy_spectrum(field: FqField, upper, lower) -> np.ndarray:
-    """The coefficients times chi(-1)**m over chi = omega**j: the row c with
-    mccarthy_F(x) = -1/(q-1) * sum_j c[j] * omega**j(x)."""
-    j = np.arange(field.q1, dtype=np.int64)
-    minus_one = int(field.dlog_table[field.neg_table[1]])
-    twist = field.unit_roots[(j * len(upper) * minus_one) % field.q1]
-    return _mccarthy_coefficients(field, upper, lower) * twist
+    """The coefficients times chi(-1)**m over chi = omega**j: row r is the c
+    with mccarthy_F(x) = -1/(q-1) * sum_j c[j] * omega**j(x) for row r's
+    parameters, all rows of one length m.  As dlog(-1) is 0 or (q-1)/2, the
+    twist is 1 or (-1)**j."""
+    c = _mccarthy_coefficients(field, upper, lower)
+    if np.shape(upper)[1] * field.dlog_table[field.neg_table[1]] % field.q1:
+        np.negative(c[:, 1::2], out=c[:, 1::2])
+    return c
 
 
-def _mccarthy_value(field: FqField, upper, lower, x_exp: int) -> complex:
-    """mccarthy_F at x = g**x_exp for the exponent lists upper and lower."""
-    q1 = field.q1
-    acc = _mccarthy_coefficients(field, upper, lower)
-    j = np.arange(q1, dtype=np.int64)
-    minus_one = int(field.dlog_table[field.neg_table[1]])
-    twist = (len(upper) * minus_one + x_exp) % q1
-    return complex(-(acc @ field.unit_roots[(j * twist) % q1]) / q1)
+def _mccarthy_values(field: FqField, upper, lower, x_ids) -> np.ndarray:
+    """mccarthy_F for each row of the exponent arrays upper and lower (R, m)
+    at the element id x_ids[r]: zero at x = 0."""
+    return -_at_x(field, _mccarthy_spectrum(field, upper, lower), x_ids) / field.q1
 
 
 def mccarthy_F(params: McCarthyParams) -> complex:
@@ -214,10 +221,8 @@ def mccarthy_F(params: McCarthyParams) -> complex:
         -1/(q-1) * sum_chi prod_i [g(A_i chi)/g(A_i)][g(conj(B_i chi))/g(conj(B_i))]
                    * chi(-1)**m * chi(x).
     """
-    if params.x.is_zero:
-        return 0j
-    upper = [a.k for a in params.upper]
-    return _mccarthy_value(params.field, upper, [b.k for b in params.lower], params.x.exp)
+    upper, lower = [[a.k for a in params.upper]], [[b.k for b in params.lower]]
+    return complex(_mccarthy_values(params.field, upper, lower, [params.x.id])[0])
 
 
 # -- every nonzero argument at once ----------------------------------------
@@ -227,15 +232,16 @@ def mccarthy_F(params: McCarthyParams) -> complex:
 
 
 def _mccarthy_vector(field: FqField, upper, lower) -> np.ndarray:
-    """_mccarthy_value at every x != 0: entry u is the value at x = g**u."""
-    return -np.fft.ifft(_mccarthy_spectrum(field, upper, lower))
+    """_mccarthy_values at every x != 0, one row per parameter row: entry
+    [r, u] is the value at x = g**u."""
+    return -np.fft.ifft(_mccarthy_spectrum(field, upper, lower), axis=1)
 
 
 def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
     """mccarthy_F(upper; lower; x) for every x != 0: entry u is the value at
     x = g**u."""
     field = _check_mccarthy(upper, lower)
-    return _mccarthy_vector(field, [a.k for a in upper], [b.k for b in lower])
+    return _mccarthy_vector(field, [[a.k for a in upper]], [[b.k for b in lower]])[0]
 
 
 def _greene_spectrum(field: FqField, upper, lower, base=None) -> np.ndarray:
@@ -250,8 +256,8 @@ def _greene_spectrum(field: FqField, upper, lower, base=None) -> np.ndarray:
         for row in rows[1:]:
             acc *= row
         return acc
-    sign, v1, v2, v3 = _greene_2f1_factors(field, upper, lower)
-    f = (v1 * v2)[field.exp_table]
+    sign, v12, v3 = _greene_2f1_factors(field, upper[0].k, upper[1].k, lower[0].k)
+    f = v12[field.exp_table]
     # sum_a f(a) h(a+u) is the convolution of f(-a) with h
     spectra = np.fft.fft([np.roll(f[::-1], 1), v3[field.exp_table]], axis=1)
     return sign / field.q * spectra[0] * spectra[1]
@@ -306,13 +312,20 @@ def mccarthy_to_greene(params: McCarthyParams) -> complex:
     upper, lower = params.upper[1:], params.lower[1:]
     if any(a == b for a, b in zip(upper, lower)):
         raise PreconditionError("paired upper and lower parameters must differ")
-    field, x = params.field, params.x
-    if x.is_zero:
-        return 0j
-    if params.m == 1:
-        return a0.conj()(field.one - x)
-    if params.m == 2:
-        value = _greene_2f1_average(GreeneParams(params.upper, lower, x))
-        return complex(value / norm_jacobi(upper[0], lower[0]))
-    rows = _greene_chi_rows(field, params.upper, lower)
-    return complex(_chi_sum(field, rows, x) / np.prod(rows[1:, 0]))
+    ka, kb = [[a.k for a in params.upper]], [[b.k for b in lower]]
+    return complex(_bridge_values(params.field, ka, kb, [params.x.id])[0])
+
+
+def _bridge_values(field: FqField, ka, kb, x_ids) -> np.ndarray:
+    """mccarthy_to_greene for rows of one length m, its preconditions
+    assumed: upper exponents ka (R, m), the lower ones after the trivial
+    leading parameter kb (R, m - 1), argument ids x_ids (R,)."""
+    ka, kb, x = np.asarray(ka), np.asarray(kb), np.asarray(x_ids)
+    m = ka.shape[1]
+    if m == 1:
+        return np.where(x == 0, 0, _char_table(field, -ka[:, 0], field.one_minus_table[x]))
+    if m == 2:
+        return _greene_2f1_values(field, ka, kb, x) / jacobi_rows(field, ka[:, 1], kb[:, 0])[:, 0]
+    rows = jacobi_rows(field, ka.ravel(), np.pad(kb, ((0, 0), (1, 0))).ravel())
+    rows = rows.reshape(len(ka), m, field.q1)
+    return _chi_sums(field, rows, x) / rows[:, 1:, 0].prod(axis=1)

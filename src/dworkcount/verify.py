@@ -13,6 +13,8 @@ every deformation value at once: a sum over characters of lam (or a
 hypergeometric value or class average, a lambda-free coefficient vector
 contracted with the characters of x = 1/lam**6 or of d*lam) is one inverse
 DFT, a vector over dlog x that the row reads at the lambdas it checks.
+The bridge draws its 200 parameter tuples in one batch and compares each
+parameter length m = 1..4 as one vector.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (
-    MultChar,
-    char_at_minus_one,
-    jacobi,
-    trivial_char,
-)
+from .characters import MultChar, char_at_minus_one, jacobi
 from .diagonal import class_contribution_by_dlog, enumerate_orbit_classes, main_term
 from .dwork import (
     CLOSED_FORMS,
@@ -35,7 +32,7 @@ from .dwork import (
     miyatani_F_s_by_dlog,
 )
 from .field import FqElem, FqField
-from .hypergeometric import McCarthyParams, _mccarthy_vector, mccarthy_F, mccarthy_to_greene
+from .hypergeometric import _bridge_values, _mccarthy_values, _mccarthy_vector
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def orbit_closed_form_checks(field: FqField, lams: list[FqElem] | None = None) -
     """Per-class contribution against its closed form, one row per orbit;
     valid for every nonzero lam (the sextic-power locus included).  Both
     sides are evaluated at every lam at once and compared at lams."""
-    tol = 1e-6 * field.q**4
+    tol = 1e-12 * field.q**4
     if field.q1 % 6:
         return [CheckResult("orbit-closed-forms", 0.0, tol, 0, "q is not 1 mod 6")]
     if lams is None:
@@ -209,13 +206,18 @@ def kernel_identity_checks(field: FqField, lams: list[FqElem] | None = None) -> 
     """gamma(s) F(s) against the closed form, for each of the 14 orbit
     representatives; valid for every nonzero lam (the sextic-power locus
     included).  Both sides are vectors over dlog x, compared at x = 1/lam**6."""
-    tol = 1e-6 * field.q**4
+    tol = 1e-12 * field.q**4
     if field.q1 % 6:
         return [CheckResult("kernel-identities", 0.0, tol, 0, "q is not 1 mod 6")]
     if lams is None:
         lams = nonzero_lambdas(field)
     t = field.q1 // 6
     at = [(-6 * lam.exp) % field.q1 for lam in lams]
+    vectors = {}
+    for m in {len(row[5]) for row in KERNEL_IDENTITIES}:
+        group = [row for row in KERNEL_IDENTITIES if len(row[5]) == m]
+        upper, lower = (t * np.array([row[i] for row in group]) for i in (5, 6))
+        vectors.update(zip((row[0] for row in group), _mccarthy_vector(field, upper, lower)))
     rows = []
     for label, sign, qpow, twist, jexps, upper, lower in KERNEL_IDENTITIES:
         lhs = gamma_s(field, label) * miyatani_F_s_by_dlog(field, label)
@@ -224,7 +226,7 @@ def kernel_identity_checks(field: FqField, lams: list[FqElem] | None = None) -> 
             value *= char_at_minus_one(field, t)
         if jexps is not None:
             value *= jacobi(tuple(MultChar(field, k * t) for k in jexps))
-        rhs = value * _mccarthy_vector(field, [k * t for k in upper], [k * t for k in lower])
+        rhs = value * vectors[label]
         rows.append(CheckResult(f"kernel-{label}", _worst(lhs[at] - rhs[at]), tol, len(lams)))
     return rows
 
@@ -232,27 +234,29 @@ def kernel_identity_checks(field: FqField, lams: list[FqElem] | None = None) -> 
 def bridge_checks(field: FqField, count: int = 200, seed: int = 2026) -> list[CheckResult]:
     """mccarthy_to_greene against mccarthy_F on random precondition-satisfying
     parameter tuples (trivial leading lower parameter, nontrivial leading
-    upper, paired parameters distinct)."""
+    upper, paired parameters distinct).  Each batch draws per tuple a length
+    m in 1..4, four upper and three lower exponents (those past m unused)
+    and an argument; the first count tuples that meet the preconditions are
+    compared, one vector per length m."""
     q1 = field.q1
     if q1 == 1:
         return [CheckResult("normalization-bridge", 0.0, 1e-6, 0, "no nontrivial character")]
-    rng = np.random.default_rng(seed)
-    eps = trivial_char(field)
+    rng, batches = np.random.default_rng(seed), []
+    while sum(len(batch[0]) for batch in batches) < count:
+        m = rng.integers(1, 5, 2 * count)
+        ka, kb = rng.integers(0, q1, (2 * count, 4)), rng.integers(0, q1, (2 * count, 3))
+        x = rng.integers(0, field.q, 2 * count)
+        paired = np.arange(3) < m[:, None] - 1
+        ok = (ka[:, 0] != 0) & ~((ka[:, 1:] == kb) & paired).any(axis=1)
+        batches.append((m[ok], ka[ok], kb[ok], x[ok]))
+    m, ka, kb, x = (np.concatenate(parts)[:count] for parts in zip(*batches))
     residuals = []
-    while len(residuals) < count:
-        m = int(rng.integers(1, 5))
-        ka = rng.integers(0, q1, m)
-        kb = rng.integers(0, q1, m - 1)
-        if ka[0] % q1 == 0:
-            continue
-        if any((a - b) % q1 == 0 for a, b in zip(ka[1:], kb)):
-            continue
-        upper = tuple(MultChar(field, int(k)) for k in ka)
-        lower = (eps,) + tuple(MultChar(field, int(k)) for k in kb)
-        x = field.from_id(int(rng.integers(0, field.q)))
-        params = McCarthyParams(upper, lower, x)
-        residuals.append(mccarthy_F(params) - mccarthy_to_greene(params))
-    return [CheckResult("normalization-bridge", _worst(np.array(residuals)), 1e-6, count)]
+    for n in range(1, 5):
+        r = m == n
+        lower = np.pad(kb[r, : n - 1], ((0, 0), (1, 0)))
+        gauss = _mccarthy_values(field, ka[r, :n], lower, x[r])
+        residuals.append(gauss - _bridge_values(field, ka[r, :n], kb[r, : n - 1], x[r]))
+    return [CheckResult("normalization-bridge", _worst(np.concatenate(residuals)), 1e-6, count)]
 
 
 def run_identity_suite(field: FqField) -> list[CheckResult]:

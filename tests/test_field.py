@@ -181,3 +181,10 @@ def test_gauss_table_is_accurate_to_a_few_ulps(p, e):
         error = abs(complex(g.real - np.cos(angle).sum(), g.imag - np.sin(angle).sum()))
         worst = max(worst, error)
     assert worst < 1e-14
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (4003, 1)])
+def test_gauss_sum_of_the_trivial_character_is_exactly_minus_one(p, e):
+    # g(eps) = sum over x != 0 of psi(x) = -psi(0) = -1 by definition; the
+    # transform alone leaves a cancellation error that grows with q
+    assert FqField(p, e).gauss_table[0] == -1

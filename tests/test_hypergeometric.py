@@ -14,7 +14,9 @@ from dworkcount.field import FqElem, FqField
 from dworkcount.hypergeometric import (
     GreeneParams,
     McCarthyParams,
+    _bridge_values,
     _greene_chi_rows,
+    _mccarthy_values,
     greene_F,
     greene_F_by_dlog,
     greene_F_chi_sum,
@@ -283,6 +285,36 @@ def test_bridge_preconditions(f13):
                 x=f13.one,
             )
         )
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2)])
+def test_batched_bridge_rows_match_the_one_row_values(p, e):
+    # precondition-satisfying tuples of every length m, x = 0 included; each
+    # batched row equals the one-row value, and the Gauss-sum side also the
+    # defining sum
+    field = FqField(p, e)
+    rng = np.random.default_rng(7)
+    for m in range(1, 5):
+        ka = rng.integers(0, field.q1, (12, m))
+        ka[:, 0] = rng.integers(1, field.q1, 12)
+        kb = (ka[:, 1:] + rng.integers(1, field.q1, (12, m - 1))) % field.q1
+        x_ids = rng.integers(0, field.q, 12)
+        x_ids[:2] = 0, 1
+        lower = np.pad(kb, ((0, 0), (1, 0)))
+        bridge = _bridge_values(field, ka, kb, x_ids)
+        gauss = _mccarthy_values(field, ka, lower, x_ids)
+        assert bridge.shape == gauss.shape == (12,)
+        assert bridge[0] == gauss[0] == 0
+        for r in range(12):
+            params = McCarthyParams(
+                tuple(MultChar(field, int(k)) for k in ka[r]),
+                tuple(MultChar(field, int(k)) for k in lower[r]),
+                field.from_id(int(x_ids[r])),
+            )
+            assert abs(bridge[r] - mccarthy_to_greene(params)) < 1e-12, (m, r)
+            assert abs(gauss[r] - mccarthy_F(params)) < 1e-12, (m, r)
+            assert abs(gauss[r] - raw_mccarthy(params)) < 1e-9, (m, r)
+            assert abs(bridge[r] - gauss[r]) < 1e-9, (m, r)
 
 
 @pytest.mark.parametrize("p, e", ALL_X_FIELDS)

@@ -19,7 +19,7 @@ from dworkcount.dwork import (
     miyatani_F_s,
 )
 from dworkcount.field import FqField
-from dworkcount.hypergeometric import McCarthyParams, mccarthy_F, mccarthy_to_greene
+from dworkcount.hypergeometric import McCarthyParams, _bridge_values, mccarthy_F
 from dworkcount.verify import (
     KERNEL_IDENTITIES,
     CheckResult,
@@ -161,15 +161,19 @@ def test_bridge_rows(f13):
 
 
 def test_a_nan_residual_fails_its_row(monkeypatch):
-    calls = []
+    groups = []
 
-    def nan_for_the_fifth_tuple(params):
-        calls.append(params)
-        return complex("nan") if len(calls) == 5 else mccarthy_to_greene(params)
+    def nan_for_one_tuple(field, ka, kb, x_ids):
+        values = _bridge_values(field, ka, kb, x_ids)
+        groups.append(len(values))
+        if len(groups) == 2:
+            values[0] = complex("nan")
+        return values
 
-    monkeypatch.setattr(verify, "mccarthy_to_greene", nan_for_the_fifth_tuple)
+    monkeypatch.setattr(verify, "_bridge_values", nan_for_one_tuple)
     [row] = bridge_checks(FqField(13))
-    assert len(calls) == 200
+    # one call per parameter length, 200 tuples in all, one of them NaN
+    assert len(groups) == 4 and groups[1] > 0 and sum(groups) == 200
     assert not row.passed, row.line()
 
     # one NaN Gauss sum fails every row that reads it
@@ -182,6 +186,33 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
         + twisted_convolution_checks(field)
     )
     assert [row.name for row in rows if row.passed] == ["gauss-trivial"]
+
+
+@pytest.mark.parametrize("p", [7, 13, 127])
+def test_bridge_draws_meet_the_preconditions_at_every_length(monkeypatch, p):
+    groups = []
+
+    def recorded(field, ka, kb, x_ids):
+        groups.append((ka, kb, x_ids))
+        return _bridge_values(field, ka, kb, x_ids)
+
+    monkeypatch.setattr(verify, "_bridge_values", recorded)
+    [row] = bridge_checks(FqField(p))
+    assert row.passed and row.count == 200, row.line()
+    assert [ka.shape[1] for ka, _, _ in groups] == [1, 2, 3, 4]
+    assert sum(len(x) for _, _, x in groups) == 200
+    for ka, kb, x in groups:
+        assert len(x) > 0 and (ka[:, 0] != 0).all() and (ka[:, 1:] != kb).all()
+
+
+def test_a_wrong_trivial_gauss_sum_fails_its_row():
+    # the field sets g(eps) = -1 rather than summing it; the row still reads
+    # the table entry and must catch a wrong one
+    field = FqField(13)
+    field.gauss_table[0] = 1
+    row = gauss_sum_checks(field)[0]
+    assert row.name == "gauss-trivial"
+    assert not row.passed, row.line()
 
 
 # -- the per-lambda loops the vector checks replaced, kept as references ----
@@ -290,17 +321,20 @@ def test_vector_checks_match_the_per_lambda_reference(f13, f25):
             + sextic_product_checks(field)
             + twisted_convolution_checks(field)
         )
-        for rows, reference in [
-            (kernel_identity_checks(field), reference_kernel_residuals(field, nonzero_lambdas(field))),
-            (orbit_closed_form_checks(field, sextic_free), reference_orbit_residuals(field, sextic_free)),
-            (character_rows, reference_character_residuals(field)),
+        # both residuals are rounding noise, so they agree to an absolute
+        # bound, not to a fraction of the row's tolerance
+        q = field.q
+        for rows, reference, bound in [
+            (kernel_identity_checks(field), reference_kernel_residuals(field, nonzero_lambdas(field)), 1e-12 * q**4),
+            (orbit_closed_form_checks(field, sextic_free), reference_orbit_residuals(field, sextic_free), 1e-12 * q**4),
+            (character_rows, reference_character_residuals(field), 1e-12 * q**3),
         ]:
             assert [row.name for row in rows] == list(reference)
             for row in rows:
                 residuals = reference[row.name]
                 assert row.count == len(residuals)
                 assert row.passed, row.line()
-                assert abs(row.residual - max(residuals)) <= 1e-6 * row.tol, row.line()
+                assert abs(row.residual - max(residuals)) <= bound, row.line()
 
 
 def test_checks_gather_at_the_requested_lambdas(monkeypatch):
@@ -331,7 +365,7 @@ def test_checks_gather_at_the_requested_lambdas(monkeypatch):
     assert all(row.passed for row in orbit_closed_form_checks(field, [other]))
 
 
-@pytest.mark.parametrize("p", [13, 61, 331])
+@pytest.mark.parametrize("p", [13, 61, 331, 4003])
 def test_sign_flipped_rows_fail(monkeypatch, p):
     # flip the sign of one kernel identity or one degree-6 closed form at a
     # time: that row, and no other, must fail
