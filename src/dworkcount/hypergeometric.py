@@ -165,7 +165,8 @@ def _greene_2f1_values(field: FqField, ka, kb, x_ids) -> np.ndarray:
     """
     ka, x, y = np.asarray(ka), np.asarray(x_ids)[:, None], np.arange(field.q)
     sign, v12, v3 = _greene_2f1_factors(field, ka[:, :1], ka[:, 1:], np.asarray(kb))
-    xy = np.where(y == 0, 0, field.exp_table[(field.dlog_table[x] + field.dlog_table[y]) % field.q1])
+    xy = field.exp_table[(field.dlog_table[x] + field.dlog_table[y]) % field.q1]
+    xy[:, 0] = 0  # y = 0
     values = sign[:, 0] / field.q * (v12 * np.take_along_axis(v3, xy, axis=1)).sum(axis=1)
     return np.where(x[:, 0] == 0, 0, values)
 

@@ -323,11 +323,11 @@ def test_vector_checks_match_the_per_lambda_reference(f13, f25):
         )
         # both residuals are rounding noise, so they agree to an absolute
         # bound, not to a fraction of the row's tolerance
-        q = field.q
+        quartic, cubic = 1e-12 * field.q**4, 1e-12 * field.q**3
         for rows, reference, bound in [
-            (kernel_identity_checks(field), reference_kernel_residuals(field, nonzero_lambdas(field)), 1e-12 * q**4),
-            (orbit_closed_form_checks(field, sextic_free), reference_orbit_residuals(field, sextic_free), 1e-12 * q**4),
-            (character_rows, reference_character_residuals(field), 1e-12 * q**3),
+            (kernel_identity_checks(field), reference_kernel_residuals(field, nonzero_lambdas(field)), quartic),
+            (orbit_closed_form_checks(field, sextic_free), reference_orbit_residuals(field, sextic_free), quartic),
+            (character_rows, reference_character_residuals(field), cubic),
         ]:
             assert [row.name for row in rows] == list(reference)
             for row in rows:
