@@ -1,14 +1,19 @@
-"""Exhaustive projective point counts, the ground truth everything else
-is compared against.
+"""Character-free projective point counts, the ground truth everything
+else is compared against.
 
-Points of P^(n-1)(F_q) are enumerated in normalized form (first nonzero
-coordinate equal to 1), so each point is visited exactly once.  Polynomials
-are given as lists of (coefficient, exponent-vector) monomials and evaluated
-through the field's dlog tables in vectorized chunks; no character sums or
-algebraic identities are involved anywhere in this module.
+projective_count enumerates the points of P^(n-1)(F_q) in normalized form
+(first nonzero coordinate equal to 1), so each point is visited exactly
+once; polynomials are lists of (coefficient, exponent-vector) monomials,
+evaluated through the field's dlog tables in vectorized chunks.
+dwork_counts_by_lambda counts every fibre of the Dwork family at once from
+exact integer histograms of (sum x_i**d, prod x_i) and is held against
+projective_count in the tests.  No character sums, floats or algebraic
+identities are involved anywhere in this module.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -118,51 +123,61 @@ def deformed_diagonal_polynomial(field: FqField, d: int, h: tuple[int, ...], lam
     return mons
 
 
-def dwork_counts_by_lambda(field: FqField, degree: int, *, chunk: int = 1 << 20) -> np.ndarray:
-    """Point count of the degree-d family member for every lambda, in one scan.
+def dwork_counts_by_lambda(field: FqField, degree: int) -> np.ndarray:
+    """Point count of the degree-d family member for every lambda, d >= 3.
 
-    Returns an integer array indexed by the element id of lambda.  Each
-    projective point (x_1 : ... : x_d) is classified by S = sum x_i**d and
-    P = prod x_i: when P = 0 the point lies on every fibre with S = 0 and on
-    none otherwise; when P != 0 it lies on exactly the fibre
-    lambda = S / (d P).  This is the same exhaustive scan as
-    projective_count, shared across all fibres.
+    Returns an integer array indexed by the element id of lambda, from exact
+    int64 histograms; no point is visited.  A point with a zero coordinate
+    lies on every fibre if S = sum x_i**d = 0 and on none otherwise; a point
+    of units, scaled to x_1 = 1, lies on the one fibre lambda = S / (d P),
+    P = prod x_i.  With g = gcd(d, q-1) and m = (q-1)/g, x**d depends only on
+    dlog x mod m, and a d-th root of unity times x_2 moves lambda through its
+    coset, so the count depends on lambda only through dlog lambda mod m.
+    H_k[s, t] counts the k-tuples of units with sum x_i**d = s and
+    dlog prod x_i = t mod m, each residue standing for g units; the last
+    coordinate is added cell by cell, so H_(d-1) is never stored.
     """
     q, q1 = field.q, field.q1
     if q ** (degree - 1) > ENUMERATION_BUDGET:
         raise BudgetExceededError("enumeration larger than the budget")
     if field.elem(degree).is_zero:
         raise BadDegreeError("degree divisible by the characteristic")
-    counts = np.zeros(q, dtype=np.int64)
-    base_zero = 0  # points with P = 0, S = 0: on every fibre
-    pow_d = np.zeros(q, dtype=np.int64)
-    pow_d[field.exp_table] = field.exp_table[
-        (np.arange(q1, dtype=np.int64) * degree) % q1
-    ]
-    d_exp = field.elem(degree).exp
-    for lead in range(degree):
-        nfree = degree - lead - 1
-        npoints = q**nfree
-        for start in range(0, npoints, chunk):
-            stop = min(start + chunk, npoints)
-            ssum = np.full(stop - start, 1, dtype=np.int64)  # id of x_lead**d = 1
-            pexp = np.zeros(stop - start, dtype=np.int64)  # dlog of the product
-            # strata after the first carry leading zero coordinates, so P = 0
-            pzero = np.full(stop - start, lead > 0, dtype=bool)
-            rest = np.arange(start, stop, dtype=np.int64)
-            for _ in range(nfree):
-                ids = rest % q
-                rest = rest // q
-                ssum = field.add_id_arrays(ssum, pow_d[ids])
-                dl = field.dlog_table[ids]
-                pzero |= dl < 0
-                pexp += np.where(dl < 0, 0, dl)
-            base_zero += int(np.count_nonzero(pzero & (ssum == 0)))
-            live = ~pzero
-            s_live = ssum[live]
-            # lambda = S * (d * P)**(-1); S = 0 maps to lambda = 0
-            lam_exp = (field.dlog_table[s_live] - d_exp - pexp[live]) % q1
-            lam_ids = np.where(s_live == 0, 0, field.exp_table[lam_exp])
-            counts += np.bincount(lam_ids, minlength=q)
-    counts += base_zero
+    if degree < 3:
+        raise BadDegreeError("the histograms start from two unit coordinates")
+    g = math.gcd(degree, q1)
+    m = q1 // g
+    r = np.arange(m, dtype=np.int64)
+    pow_d = field.exp_table[r * degree % q1]  # id of x**d for dlog x = r mod m
+    minus_one = int(field.neg_table[1])
+    # dlog(lambda * P') mod m on the fibre of (1 : x_2 : ... : x_d), by the id of
+    # S' = x_2**d + ... + x_d**d; junk at S' = -1, which lies on lambda = 0
+    lam_key = (field.dlog_table[field.add_id_arrays(np.arange(q), 1)] - field.elem(degree).exp) % m
+    s, t, w = pow_d, r, np.full(m, g, dtype=np.int64)  # the cells of H_1
+    on_minus_one = [0, int(w[s == minus_one].sum())]  # sum_t H_k[-1, t] for k = 0, 1
+    for _ in range(degree - 3):
+        h = _add_coordinate(field, s, t, g * w, pow_d, lambda s2, t2: s2 * m + t2, q * m).reshape(q, m)
+        s, t = np.nonzero(h)
+        w = h[s, t]
+        on_minus_one.append(int(h[minus_one].sum()))
+    lam_keys = lambda s2, t2: np.where(s2 == minus_one, m, (lam_key[s2] - t2) % m)  # key m: lambda = 0
+    last = _add_coordinate(field, s, t, w, pow_d, lam_keys, m + 1)
+    on_minus_one.append(g * int(last[m]))
+    # H_k[-1, :] sums to the points with k + 1 given unit coordinates, the rest
+    # 0, and S = 0: on every fibre for k + 1 < d, on lambda = 0 for k + 1 = d
+    counts = np.full(q, sum(math.comb(degree, k + 1) * c for k, c in enumerate(on_minus_one[:-1])))
+    counts[0] += on_minus_one[-1]
+    counts[field.exp_table] += np.tile(last[:m], g)
     return counts
+
+
+def _add_coordinate(field: FqField, s, t, w, pow_d, key, size: int) -> np.ndarray:
+    """Spread each cell (s, t) of weight w over the m residues of one more
+    unit coordinate and sum the weights by key(s', t'), in int64."""
+    m = len(pow_d)
+    out = np.zeros(size, dtype=np.int64)
+    step = max(1, (1 << 18) // m)
+    for i in range(0, len(s), step):
+        s2 = field.add_id_arrays(s[i : i + step, None], pow_d)
+        t2 = (t[i : i + step, None] + np.arange(m)) % m
+        np.add.at(out, key(s2, t2), np.broadcast_to(w[i : i + step, None], s2.shape))
+    return out

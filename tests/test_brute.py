@@ -9,7 +9,7 @@ from dworkcount.brute import (
     dwork_polynomial,
     projective_count,
 )
-from dworkcount.errors import BudgetExceededError, NotHomogeneousError
+from dworkcount.errors import BadDegreeError, BudgetExceededError, NotHomogeneousError
 from dworkcount.field import FqField
 
 
@@ -102,6 +102,8 @@ def test_budget_guard():
     field = FqField(2, 16)
     with pytest.raises(BudgetExceededError):
         projective_count(field, [], 3)
+    with pytest.raises(BudgetExceededError):
+        dwork_counts_by_lambda(field, 3)
     assert ENUMERATION_BUDGET == 10**9
 
 
@@ -115,10 +117,19 @@ def test_counts_by_lambda_sextic(f13):
     assert counts[0] == 87570
 
 
-@pytest.mark.parametrize("degree, p, e", [(3, 13, 1), (4, 13, 1), (4, 5, 2), (5, 11, 1), (6, 13, 1)])
+@pytest.mark.parametrize(
+    "degree, p, e",
+    [
+        (3, 13, 1), (4, 13, 1), (4, 5, 2), (5, 11, 1), (6, 13, 1),
+        # gcd(d, q - 1) < d, so the histograms fold dlog by m > (q - 1)/d
+        (4, 11, 1), (6, 11, 1), (5, 13, 1), (3, 101, 1),
+        # characteristic 2 and 3
+        (3, 2, 4), (5, 2, 4), (4, 3, 3),
+    ],
+)
 def test_counts_by_lambda_match_single_fibre_enumeration(degree, p, e):
-    # the one-scan sort into fibres against the generic evaluator, fibre by
-    # fibre: lambda = 0, the singular fibres and every valid one
+    # the histogram counts against the generic evaluator, fibre by fibre:
+    # lambda = 0, the singular fibres and every valid one
     field = FqField(p, e)
     counts = dwork_counts_by_lambda(field, degree)
     for lam_id in range(field.q):
@@ -131,3 +142,23 @@ def test_counts_by_lambda_quartic(f13):
     expected = {2: 320, 3: 320, 10: 320, 11: 320, 4: 352, 6: 352, 7: 352, 9: 352}
     for lam_id, value in expected.items():
         assert counts[lam_id] == value
+
+
+@pytest.mark.parametrize("degree, p, e", [(3, 61, 1), (4, 7, 2), (5, 31, 1), (6, 13, 1)])
+def test_counts_by_lambda_at_enumcheck_configs(degree, p, e):
+    # the benchmark's enumcheck fields (bench/spec.py ENUMCHECK_CONFIGS), whose
+    # reference array is this function: lambda = 0, the singular fibre
+    # lambda = 1 and two valid fibres against the generic evaluator
+    field = FqField(p, e)
+    counts = dwork_counts_by_lambda(field, degree)
+    valid = [lam for lam in field.units() if lam**degree != field.one][:2]
+    for lam in [field.zero, field.one, *valid]:
+        monos = dwork_polynomial(field, degree, lam)
+        assert counts[lam.id] == projective_count(field, monos, degree), lam.id
+
+
+@pytest.mark.parametrize("degree, p, e", [(3, 3, 1), (4, 2, 3)])
+def test_counts_by_lambda_bad_degree(degree, p, e):
+    # d * lambda * x_1 ... x_d vanishes when p divides d
+    with pytest.raises(BadDegreeError):
+        dwork_counts_by_lambda(FqField(p, e), degree)
