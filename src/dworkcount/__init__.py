@@ -8,7 +8,6 @@ that connect them.
 
 from .errors import (
     BadDegreeError,
-    BadDivisorError,
     BadLambdaError,
     BadModulusError,
     BadParamsError,
@@ -30,7 +29,6 @@ __all__ = [
     "FqField",
     "MAX_FIELD_SIZE",
     "BadDegreeError",
-    "BadDivisorError",
     "BadLambdaError",
     "BadModulusError",
     "BadParamsError",

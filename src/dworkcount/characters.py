@@ -69,10 +69,6 @@ class MultChar:
     def __repr__(self) -> str:
         return f"MultChar(q={self.field.q}, k={self.k})"
 
-    def value_vector(self) -> np.ndarray:
-        """chi(x) for every element id x, as a complex array of length q."""
-        return char_vector(self.field, self.k)
-
 
 def trivial_char(field: FqField) -> MultChar:
     return MultChar(field, 0)
@@ -88,6 +84,17 @@ def char_vector(field: FqField, k: int) -> np.ndarray:
     v = np.zeros(field.q, dtype=np.complex128)
     v[field.exp_table] = field.unit_roots[(k * np.arange(field.q1, dtype=np.int64)) % field.q1]
     return v
+
+
+def at_fibres(field: FqField, d: int, spectrum: np.ndarray, offset: int = 0) -> np.ndarray:
+    """A lambda-free spectrum read at every fibre: entry e is
+
+        (q-1)**(-1) * sum_j spectrum[j] * zeta**(j (offset - d e)),
+
+    zeta = exp(2 pi i/(q-1)), that is sum_j spectrum[j] omega**j(x) / (q-1)
+    at x = g**offset / lam**d for lam = g**e; with offset 0, at the
+    hypergeometric argument x = 1/lam**d.  One inverse DFT of length q-1."""
+    return np.fft.ifft(spectrum)[(offset - d * np.arange(field.q1)) % field.q1]
 
 
 def jacobi(chars) -> complex:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import at_fibres
 from .errors import (
     BadDegreeError,
     BadLambdaError,
@@ -187,21 +188,14 @@ def _koblitz_terms(
 
 
 def _gauss_ratio(field: FqField, d: int, h: tuple[int, ...], w) -> np.ndarray:
-    """prod_i g(omega**(w_i t + h_i j)) / g(omega**(d j)) over j = 0..q-2:
-    the lambda-free row of the Gauss average of the class of w."""
+    """prod_i g(omega**(w_i t - h_i j)) / g(omega**(-d j)) over j = 0..q-2:
+    the lambda-free row of the Gauss average of the class of w, indexed by
+    -j so that at_fibres reads it at x = (d lam)**(-d)."""
     q1, t = field.q1, field.q1 // d
-    j = np.arange(q1, dtype=np.int64)
+    j = -np.arange(q1, dtype=np.int64)
     rows = (field.gauss_table[(wi * t + hi * j) % q1] for wi, hi in zip(w, h))
     numerator = math.prod(rows, start=np.ones(q1, dtype=np.complex128))
     return numerator / field.gauss_table[(d * j) % q1]
-
-
-def _at_dlam(field: FqField, d: int, averages: np.ndarray) -> np.ndarray:
-    """Entry e is averages[d * dlog(d lam)] for lam = g**e: the twist
-    omega**(d j)(d lam) makes a Gauss average that entry of the inverse DFT
-    of its ratio row."""
-    dlam = int(field.elem(d).exp) + np.arange(field.q1)
-    return averages[(d * dlam) % field.q1]
 
 
 def _weil_sum(field: FqField, d: int, members) -> complex:
@@ -211,8 +205,8 @@ def _weil_sum(field: FqField, d: int, members) -> complex:
 def class_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     """The twisted Gauss-sum average attached to the class of w:
 
-        (q-1)**(-1) * sum_j [prod_i g(omega**(w_i t + h_i j)) / g(omega**(d j))]
-                      * omega**(d j)(d lam)
+        (q-1)**(-1) * sum_j [prod_i g(omega**(w_i t - h_i j)) / g(omega**(-d j))]
+                      * omega**(-d j)(d lam)
 
     The product is only meaningful as a whole; any member of the class gives
     the same value, since shifting w by h reindexes j.
@@ -220,7 +214,7 @@ def class_gauss_average(params: DiagonalParams, w: tuple[int, ...]) -> complex:
     field, d = params.field, params.d
     ratio = _gauss_ratio(field, d, params.h, w)
     dlam = field.elem(d) * params.lam
-    twist = field.unit_roots[(d * np.arange(field.q1) * dlam.exp) % field.q1]
+    twist = field.unit_roots[(-d * np.arange(field.q1) * dlam.exp) % field.q1]
     return complex(ratio @ twist / field.q1)
 
 
@@ -234,11 +228,12 @@ def class_gauss_average_by_dlog(
     field: FqField, d: int, h: tuple[int, ...], w: tuple[int, ...]
 ) -> np.ndarray:
     """class_gauss_average for every lam != 0: entry e is the average at
-    lam = g**e, one inverse DFT of the lambda-free ratio row.  The singular
-    fibre is included, since the formula itself does not exclude it."""
+    lam = g**e, the lambda-free ratio row read at x = (d lam)**(-d).  The
+    singular fibre is included, since the formula itself does not exclude
+    it."""
     if d < 1 or field.q1 % d != 0:
         raise BadDegreeError(f"degree {d} does not divide q-1 = {field.q1}")
-    return _at_dlam(field, d, np.fft.ifft(_gauss_ratio(field, d, h, w)))
+    return at_fibres(field, d, _gauss_ratio(field, d, h, w), -d * field.elem(d).exp)
 
 
 def class_contribution_by_dlog(
@@ -254,9 +249,9 @@ def koblitz_remainder_by_dlog(field: FqField, d: int, h: tuple[int, ...]) -> np.
     entry e is the value at lam = g**e, the singular fibre included.
 
     Per group of equal classes (_koblitz_terms), the non-zero Weil terms
-    are lambda-free, and the Gauss averages of all classes are entries of
-    one inverse DFT of the weighted sum of their ratio rows.  Built once per
-    field and (d, h).
+    are lambda-free, and the Gauss averages of all classes are the weighted
+    sum of their ratio rows, read once by at_fibres.  Built once per field
+    and (d, h).
     """
     if d < 1 or field.q1 % d != 0:
         raise BadDegreeError(f"degree {d} does not divide q-1 = {field.q1}")
@@ -268,14 +263,6 @@ def koblitz_remainder_by_dlog(field: FqField, d: int, h: tuple[int, ...]) -> np.
         for rep, weight, members in _koblitz_terms(d, len(h), h):
             weil += weight * sum(_weil_term(field, g, v) for v in members)
             ratios += weight * _gauss_ratio(field, d, h, rep)
-        return weil + _at_dlam(field, d, np.fft.ifft(ratios))
+        return weil + at_fibres(field, d, ratios, -d * field.elem(d).exp)
 
     return field.plan(("koblitz", d, h), build)
-
-
-def koblitz_total(params: DiagonalParams) -> complex:
-    """The projective point count of the deformed diagonal hypersurface,
-    before integer rounding: the exact main term plus the fibre's entry of
-    koblitz_remainder_by_dlog, in one addition."""
-    remainder = koblitz_remainder_by_dlog(params.field, params.d, params.h)[params.lam.exp]
-    return main_term(params.field.q, params.n) + complex(remainder)

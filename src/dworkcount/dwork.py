@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import MultChar, char_at_minus_one, char_vector
-from .diagonal import main_term
+from .characters import MultChar, at_fibres, char_at_minus_one, char_vector
 from .errors import (
     BadDegreeError,
     BadLambdaError,
@@ -86,32 +85,6 @@ CLOSED_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class DworkParams:
-    """Validated parameters (field, degree, deformation) for the smooth family."""
-
-    field: FqField
-    degree: int
-    lam: FqElem
-
-    def __post_init__(self):
-        if self.degree not in CLOSED_FORMS:
-            degrees = ", ".join(map(str, CLOSED_FORMS))
-            raise BadDegreeError(f"closed forms cover degrees {degrees}, not {self.degree}")
-        if self.field.q1 % self.degree != 0:
-            raise BadModulusError(f"q = {self.field.q} is not 1 mod {self.degree}")
-        if self.lam.field is not self.field:
-            raise MixedFieldsError("lambda lives in a different field")
-        if self.lam.is_zero:
-            raise BadLambdaError("the closed forms need lambda != 0")
-        if self.lam**self.degree == self.field.one:
-            raise BadLambdaError(f"lambda**{self.degree} = 1 is singular")
-
-    @property
-    def t(self) -> int:
-        return self.field.q1 // self.degree
-
-
 def closed_form_constants(field: FqField, d: int) -> tuple[complex, ...]:
     """The lambda-free constants the rows of CLOSED_FORMS[d] index, computed
     once per field.  Degree 6: w6(-1), J(w6, w3, w2), J(w2, conj w3, conj w6),
@@ -143,6 +116,8 @@ def closed_form_constants(field: FqField, d: int) -> tuple[complex, ...]:
 def _closed_form_row(field: FqField, d: int, row, coef: int):
     """coef * q**power times each indexed constant, left to right, and the
     row's upper and lower characters (None for a w2(1 - lam**d) row)."""
+    if field.q1 % d != 0:
+        raise BadModulusError(f"q = {field.q} is not 1 mod {d}")
     t = field.q1 // d
     _, _, power, consts, upper, lower = row
     constants = closed_form_constants(field, d)
@@ -156,15 +131,14 @@ def _closed_form_row(field: FqField, d: int, row, coef: int):
     return value, up, lo
 
 
-def closed_form_term(params: DworkParams, row, coef: int) -> complex:
-    """One row of CLOSED_FORMS[params.degree], with coef in place of the
+def closed_form_term(field: FqField, d: int, lam: FqElem, row, coef: int) -> complex:
+    """One row of CLOSED_FORMS[d] at lam != 0, with coef in place of the
     row's coefficient, multiplied left to right: coef * q**power, then each
     constant, then the hypergeometric value."""
-    field, d = params.field, params.degree
     value, up, lo = _closed_form_row(field, d, row, coef)
     if up is None:
-        return value * MultChar(field, field.q1 // 2)(field.one - params.lam**d)
-    return value * greene_F(GreeneParams(up, lo, (params.lam**d).inverse()))
+        return value * MultChar(field, field.q1 // 2)(field.one - lam**d)
+    return value * greene_F(GreeneParams(up, lo, (lam**d).inverse()))
 
 
 def closed_form_term_by_dlog(field: FqField, d: int, row, coef: int) -> np.ndarray:
@@ -176,19 +150,16 @@ def closed_form_term_by_dlog(field: FqField, d: int, row, coef: int) -> np.ndarr
 def _closed_forms_by_dlog(field: FqField, d: int, terms) -> np.ndarray:
     """The sum of closed_form_term over (row, coef) in terms, for every
     lam != 0: the rows' hypergeometric spectra, on jacobi_base(field, d), are
-    summed in place and take one inverse DFT, read at x = 1/lam**d."""
-    if field.q1 % d != 0:
-        raise BadModulusError(f"q = {field.q} is not 1 mod {d}")
-    dlam = d * np.arange(field.q1) % field.q1
+    summed in place and read once by at_fibres."""
     total, spectra = np.zeros((2, field.q1), dtype=np.complex128)
     for row, coef in terms:
         value, up, lo = _closed_form_row(field, d, row, coef)
         if up is None:
-            one_minus = field.one_minus_table[field.exp_table[dlam]]
-            total += value * char_vector(field, field.q1 // 2)[one_minus]
+            lam_d = field.exp_table[d * np.arange(field.q1) % field.q1]
+            total += value * char_vector(field, field.q1 // 2)[field.one_minus_table[lam_d]]
         else:
             spectra += value * _greene_spectrum(field, up, lo, jacobi_base(field, d))
-    return total + np.fft.ifft(spectra)[-dlam % field.q1]
+    return total + at_fibres(field, d, spectra)
 
 
 def greene_remainder_by_dlog(field: FqField, d: int) -> np.ndarray:
@@ -203,13 +174,6 @@ def greene_remainder_by_dlog(field: FqField, d: int) -> np.ndarray:
         return _closed_forms_by_dlog(field, d, [(row, row[1]) for row in CLOSED_FORMS[d]])
 
     return field.plan(("greene", d), build)
-
-
-def greene_total(params: DworkParams) -> complex:
-    """The closed form for params.degree, before rounding: the exact main
-    term plus the fibre's entry of greene_remainder_by_dlog, in one addition."""
-    remainder = greene_remainder_by_dlog(params.field, params.degree)[params.lam.exp]
-    return main_term(params.field.q, params.degree) + complex(remainder)
 
 
 def smith_normal_form(mat) -> tuple[int, ...]:
@@ -430,15 +394,6 @@ def miyatani_remainder_by_dlog(field: FqField) -> np.ndarray:
             row = _mccarthy_spectrum(field, *_absolute(field, exps))[0]
             spectrum += multiplicity[i] * gammas[i] * row
         # the total subtracts sum gamma F, and F(x) = -ifft(row)[dlog x]
-        return np.fft.ifft(spectrum)[(-6 * np.arange(field.q1)) % field.q1]
+        return at_fibres(field, 6, spectrum)
 
     return field.plan(("miyatani",), build)
-
-
-def miyatani_dwork6_total(params: DworkParams) -> complex:
-    """Kernel-route count before rounding: the exact main term plus the
-    fibre's entry of miyatani_remainder_by_dlog, in one addition."""
-    if params.degree != 6:
-        raise BadDegreeError("the kernel route covers degree 6 only")
-    remainder = miyatani_remainder_by_dlog(params.field)[params.lam.exp]
-    return main_term(params.field.q, 6) + complex(remainder)

@@ -41,10 +41,6 @@ class BadWeightError(CountingError):
     """A character-exponent vector is outside its valid range."""
 
 
-class BadDivisorError(CountingError):
-    """The requested character order does not divide q - 1."""
-
-
 class NotHomogeneousError(CountingError):
     """A projective count was requested for a non-homogeneous polynomial."""
 

@@ -308,7 +308,6 @@ class FqField:
     def _build_analytic(self) -> None:
         q1, p = self.q1, self.p
         self.unit_roots = np.exp(2j * np.pi * np.arange(q1) / q1)
-        self.psi_table = np.exp(2j * np.pi * self.trace_table / p)
         # g(omega**k) for all k at once: the sum over x != 0 of
         # omega**k(x) psi(x) is a length-(q-1) inverse DFT of psi(g**m).
         # Angles and transform run in extended precision: a double 2*pi

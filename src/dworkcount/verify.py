@@ -231,17 +231,20 @@ def kernel_identity_checks(field: FqField, lams: list[FqElem] | None = None) -> 
     return rows
 
 
-def bridge_checks(field: FqField, count: int = 200, seed: int = 2026) -> list[CheckResult]:
+BRIDGE_COUNT, BRIDGE_SEED = 200, 2026
+
+
+def bridge_checks(field: FqField) -> list[CheckResult]:
     """mccarthy_to_greene against mccarthy_F on random precondition-satisfying
     parameter tuples (trivial leading lower parameter, nontrivial leading
     upper, paired parameters distinct).  Each batch draws per tuple a length
     m in 1..4, four upper and three lower exponents (those past m unused)
-    and an argument; the first count tuples that meet the preconditions are
-    compared, one vector per length m."""
-    q1 = field.q1
+    and an argument; the first BRIDGE_COUNT tuples that meet the
+    preconditions are compared, one vector per length m."""
+    q1, count = field.q1, BRIDGE_COUNT
     if q1 == 1:
         return [CheckResult("normalization-bridge", 0.0, 1e-6, 0, "no nontrivial character")]
-    rng, batches = np.random.default_rng(seed), []
+    rng, batches = np.random.default_rng(BRIDGE_SEED), []
     while sum(len(batch[0]) for batch in batches) < count:
         m = rng.integers(1, 5, 2 * count)
         ka, kb = rng.integers(0, q1, (2 * count, 4)), rng.integers(0, q1, (2 * count, 3))

@@ -1,8 +1,9 @@
-"""Shared field fixtures, built once per session, and the rounding helper."""
+"""Shared field fixtures, built once per session, and the counting helpers."""
 
 import pytest
 
 from dworkcount.characters import round_to_int
+from dworkcount.cli import run_count
 from dworkcount.field import FqField
 
 
@@ -10,6 +11,11 @@ def rounded(total: complex, tol: float = 1e-3) -> int:
     """A route total as the integer count the command line reports."""
     value, _ = round_to_int(total, tol)
     return value
+
+
+def count(field: FqField, degree: int, lam, method: str) -> int:
+    """One route's count of one fibre, through the command line's run_count."""
+    return run_count(field, degree, lam, [method], 1e-3).counts[method]
 
 
 @pytest.fixture(scope="session")

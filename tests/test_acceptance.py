@@ -15,19 +15,8 @@ from dworkcount.brute import (
 )
 from dworkcount.characters import MultChar, jacobi
 from dworkcount.cli import main
-from dworkcount.diagonal import (
-    DiagonalParams,
-    enumerate_orbit_classes,
-    koblitz_total,
-)
-from dworkcount.dwork import (
-    DworkParams,
-    greene_total,
-    kernel_matrix,
-    miyatani_dwork6_total,
-    miyatani_preflight,
-    smith_normal_form,
-)
+from dworkcount.diagonal import enumerate_orbit_classes
+from dworkcount.dwork import kernel_matrix, miyatani_preflight, smith_normal_form
 from dworkcount.field import FqField
 from dworkcount.verify import (
     bridge_checks,
@@ -40,7 +29,7 @@ from dworkcount.verify import (
     valid_lambdas,
 )
 
-from conftest import rounded
+from conftest import count
 
 
 def report(number: int, text: str) -> None:
@@ -61,11 +50,8 @@ def test_criterion_01_three_route_equality_degree_six():
         brute = dwork_counts_by_lambda(field, 6)
         for lam in lams:
             expected = int(brute[lam.id])
-            diag = DiagonalParams(field, 6, (1,) * 6, lam)
-            dwork = DworkParams(field, 6, lam)
-            assert rounded(koblitz_total(diag), tol=1e-3) == expected
-            assert rounded(greene_total(dwork), tol=1e-3) == expected
-            assert rounded(miyatani_dwork6_total(dwork), tol=1e-3) == expected
+            for method in ("koblitz", "greene", "miyatani"):
+                assert count(field, 6, lam, method) == expected
             instances += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -85,8 +71,8 @@ def test_criterion_02_degree_four_vs_enumeration():
         brute = dwork_counts_by_lambda(field, 4)
         for lam in lams:
             expected = int(brute[lam.id])
-            assert rounded(koblitz_total(DiagonalParams(field, 4, (1,) * 4, lam))) == expected
-            assert rounded(greene_total(DworkParams(field, 4, lam))) == expected
+            assert count(field, 4, lam, "koblitz") == expected
+            assert count(field, 4, lam, "greene") == expected
             instances += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -102,8 +88,8 @@ def test_criterion_03_degree_five_vs_enumeration():
         brute = dwork_counts_by_lambda(field, 5)
         for lam in lams:
             expected = int(brute[lam.id])
-            assert rounded(koblitz_total(DiagonalParams(field, 5, (1,) * 5, lam))) == expected
-            assert rounded(greene_total(DworkParams(field, 5, lam))) == expected
+            assert count(field, 5, lam, "koblitz") == expected
+            assert count(field, 5, lam, "greene") == expected
             instances += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -117,9 +103,8 @@ def test_criterion_04_deformed_cubic_generality():
         for lam in field.units():
             if (lam**3) == field.one:
                 continue
-            params = DiagonalParams(field, 3, (1, 1, 1), lam)
             monos = deformed_diagonal_polynomial(field, 3, (1, 1, 1), lam)
-            assert rounded(koblitz_total(params)) == projective_count(field, monos, 3)
+            assert count(field, 3, lam, "koblitz") == projective_count(field, monos, 3)
             instances += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -193,7 +178,7 @@ def test_criterion_08_structure_checks():
 def test_criterion_09_normalization_bridge():
     instances = 0
     for field in [FqField(7), FqField(13)]:
-        rows = bridge_checks(field, count=200)
+        rows = bridge_checks(field)
         for row in rows:
             assert row.count >= 200
             assert row.passed, row.line()

@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from dworkcount.characters import (
     MultChar,
+    at_fibres,
     char_at_minus_one,
     char_vector,
     jacobi,
@@ -24,7 +26,8 @@ from dworkcount.verify import hasse_davenport_checks, sextic_product_checks, twi
 
 def raw_gauss(chi):
     field = chi.field
-    return sum(chi(x) * field.psi_table[x.id] for x in field.units())
+    psi = np.exp(2j * np.pi * field.trace_table / field.p)
+    return sum(chi(x) * psi[x.id] for x in field.units())
 
 
 def raw_jacobi(chars):
@@ -150,6 +153,23 @@ def test_jacobi_rows_match_definition(f13, f25):
                 a, b = MultChar(field, ka + j), MultChar(field, kb + j)
                 expected = b(minus_one) / field.q * jacobi((a, b.conj()))
                 assert abs(rows[r, j] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("p, e, d", [(13, 1, 3), (13, 1, 6), (5, 2, 4), (31, 1, 5), (7, 2, 6)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_at_fibres_matches_the_direct_sum(p, e, d, shifted):
+    # entry u is (q-1)**(-1) * sum_j S[j] * zeta**(j (offset - d u)), with
+    # the koblitz offset -d dlog d or none
+    field = FqField(p, e)
+    q1 = field.q1
+    offset = -d * field.elem(d).exp if shifted else 0
+    rng = np.random.default_rng(q1 * d)
+    spectrum = rng.normal(size=q1) + 1j * rng.normal(size=q1)
+    phase = np.outer(np.arange(q1), offset - d * np.arange(q1)) % q1
+    direct = spectrum @ np.exp(2j * np.pi * phase / q1) / q1
+    values = at_fibres(field, d, spectrum, offset)
+    assert values.shape == (q1,)
+    assert np.abs(values - direct).max() < 1e-12
 
 
 def test_char_at_minus_one(f13, f25):

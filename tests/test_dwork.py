@@ -19,23 +19,22 @@ from dworkcount.diagonal import (
     DiagonalParams,
     class_contribution,
     enumerate_orbit_classes,
-    koblitz_total,
+    main_term,
 )
 from dworkcount.dwork import (
     CLOSED_FORMS,
-    DworkParams,
     MiyataniPreflight,
     _kernel_table,
     closed_form_constants,
     closed_form_term,
     closed_form_term_by_dlog,
     gamma_s,
-    greene_total,
+    greene_remainder_by_dlog,
     kernel_matrix,
-    miyatani_dwork6_total,
     miyatani_F_s,
     miyatani_F_s_by_dlog,
     miyatani_preflight,
+    miyatani_remainder_by_dlog,
     smith_normal_form,
 )
 from dworkcount.errors import (
@@ -48,7 +47,17 @@ from dworkcount.field import FqField
 from dworkcount.hypergeometric import GreeneParams, greene_F
 from dworkcount.verify import valid_lambdas
 
-from conftest import rounded
+from conftest import count, rounded
+
+
+def _greene_float(field, d, lam):
+    """The greene route's float total: main term plus the fibre's remainder."""
+    return main_term(field.q, d) + greene_remainder_by_dlog(field, d)[lam.exp]
+
+
+def _miyatani_float(field, lam):
+    """The kernel route's float total: main term plus the fibre's remainder."""
+    return main_term(field.q, 6) + miyatani_remainder_by_dlog(field)[lam.exp]
 
 
 def snf_divisors_via_minors(mat) -> tuple[int, ...]:
@@ -257,37 +266,26 @@ def test_preflight_fails_off_modulus(f5):
     assert not pre.ok
 
 
-def test_dwork_params_guards(f13, f11):
+def test_greene_route_guards(f13, f11):
     with pytest.raises(BadDegreeError):
-        DworkParams(f13, 3, f13.elem(2))
+        count(f13, 3, f13.elem(2), "greene")
     with pytest.raises(BadModulusError):
-        DworkParams(f13, 5, f13.elem(2))
+        closed_form_term(f13, 5, f13.elem(2), CLOSED_FORMS[5][0], 1)
     with pytest.raises(BadLambdaError):
-        DworkParams(f13, 6, f13.zero)
+        count(f13, 6, f13.zero, "greene")
     with pytest.raises(BadLambdaError):
-        DworkParams(f13, 6, f13.one)
+        count(f13, 6, f13.one, "greene")
     with pytest.raises(BadLambdaError):
-        DworkParams(f13, 6, f13.from_id(4))
+        count(f13, 6, f13.from_id(4), "greene")
     # 4 elements of order dividing 5 exist only when 5 | q-1
     with pytest.raises(BadLambdaError):
-        DworkParams(f11, 5, f11.from_id(3))
-
-
-def test_dwork_params_diagonal_view(f13):
-    params = DworkParams(f13, 6, f13.elem(2))
-    diag = DiagonalParams(params.field, params.degree, (1,) * params.degree, params.lam)
-    assert diag.d == 6
-    assert diag.h == (1,) * 6
-    assert diag.lam == params.lam
-    assert params.t == 2
+        count(f11, 5, f11.from_id(3), "greene")
 
 
 def test_greene_sextic_matches_koblitz(f13):
     for lam_id in (2, 5, 6, 7):
         lam = f13.from_id(lam_id)
-        params = DworkParams(f13, 6, lam)
-        expected = rounded(koblitz_total(DiagonalParams(f13, 6, (1,) * 6, lam)))
-        assert rounded(greene_total(params)) == expected
+        assert count(f13, 6, lam, "greene") == count(f13, 6, lam, "koblitz")
 
 
 def test_greene_quartic_matches_koblitz(f13, f17):
@@ -295,51 +293,38 @@ def test_greene_quartic_matches_koblitz(f13, f17):
         for lam in field.units():
             if (lam**4) == field.one:
                 continue
-            params = DworkParams(field, 4, lam)
-            expected = rounded(koblitz_total(DiagonalParams(field, 4, (1,) * 4, lam)))
-            assert rounded(greene_total(params)) == expected
+            assert count(field, 4, lam, "greene") == count(field, 4, lam, "koblitz")
 
 
 def test_greene_quintic_matches_koblitz(f11):
     for lam in f11.units():
         if (lam**5) == f11.one:
             continue
-        params = DworkParams(f11, 5, lam)
-        expected = rounded(koblitz_total(DiagonalParams(f11, 5, (1,) * 5, lam)))
-        assert rounded(greene_total(params)) == expected
+        assert count(f11, 5, lam, "greene") == count(f11, 5, lam, "koblitz")
 
 
 def test_miyatani_sextic_matches_koblitz(f13, f25):
     for field in (f13, f25):
-        count = 0
-        for lam in field.units():
-            if (lam**6) == field.one:
-                continue
-            params = DworkParams(field, 6, lam)
-            expected = rounded(koblitz_total(DiagonalParams(field, 6, (1,) * 6, lam)))
-            assert rounded(miyatani_dwork6_total(params)) == expected
-            count += 1
-            if count >= 4:
-                break
+        lams = [lam for lam in field.units() if lam**6 != field.one]
+        for lam in lams[:4]:
+            assert count(field, 6, lam, "miyatani") == count(field, 6, lam, "koblitz")
 
 
 def test_miyatani_total_is_nearly_real(f13):
-    params = DworkParams(f13, 6, f13.elem(2))
-    total = miyatani_dwork6_total(params)
+    total = _miyatani_float(f13, f13.elem(2))
     assert abs(total.imag) < 1e-6
     assert abs(total.real - 9810) < 1e-6
 
 
-def _reference_miyatani_total(params):
+def _reference_miyatani_total(field, lam):
     """The kernel sum with a fresh preflight and kernel on every call."""
-    field = params.field
     assert miyatani_preflight(field).ok
     values = {}
     total = 0j
     for w in _fresh_kernel():
         key = tuple(sorted(w))
         if key not in values:
-            values[key] = gamma_s(field, w) * miyatani_F_s(field, w, params.lam)
+            values[key] = gamma_s(field, w) * miyatani_F_s(field, w, lam)
         total += values[key]
     return (field.q**5 - 1) // (field.q - 1) - total
 
@@ -354,8 +339,7 @@ def test_miyatani_total_rounds_like_a_fresh_preflight():
     f4003 = FqField(4003)
     fibres += [(f4003, f4003.elem(2)), (f4003, f4003.elem(3001))]
     for field, lam in fibres:
-        params = DworkParams(field, 6, lam)
-        total, reference = miyatani_dwork6_total(params), _reference_miyatani_total(params)
+        total, reference = _miyatani_float(field, lam), _reference_miyatani_total(field, lam)
         assert rounded(total) == rounded(reference)
         # a tenth of the rounding tolerance
         assert abs(total - reference) < 1e-4
@@ -365,20 +349,20 @@ def _greene(upper, lower, x):
     return greene_F(GreeneParams(tuple(upper), tuple(lower), x))
 
 
-def _reference_greene_total(params):
+def _reference_greene_total(field, degree, lam):
     """The degree-4, -5 and -6 closed forms typed out term by term."""
-    field, q, t, lam = params.field, params.field.q, params.t, params.lam
+    q, t = field.q, field.q1 // degree
     eps = trivial_char(field)
-    w = [MultChar(field, i * t) for i in range(params.degree)]
-    x = (lam**params.degree).inverse()
-    if params.degree == 4:
+    w = [MultChar(field, i * t) for i in range(degree)]
+    x = (lam**degree).inverse()
+    if degree == 4:
         w4, w2, w4b = w[1], w[2], w[3]
         total = (q**3 - 1) // (q - 1) + 0j
         total += 12 * q * char_at_minus_one(field, t) * w2(field.one - lam**4)
         total += q**2 * _greene((w4, w2, w4b), (eps, eps), x)
         total += 3 * q**2 * norm_jacobi(w4b, w4) * _greene((w4b, w4), (w2,), x)
         return total
-    if params.degree == 5:
+    if degree == 5:
         w1, w2, w3, w4 = w[1], w[2], w[3], w[4]
         total = (q**4 - 1) // (q - 1) + 0j
         total += q**3 * _greene((w1, w2, w3, w4), (eps, eps, eps), x)
@@ -417,10 +401,9 @@ def test_greene_total_keeps_no_per_character_vectors():
     # each hypergeometric value is one batch of Jacobi rows, so memory stays
     # O(q) per call; one length-q vector per character would be about 250 MiB
     field = FqField(4003)
-    params = DworkParams(field, 6, field.elem(2))
     tracemalloc.start()
     try:
-        total = greene_total(params)
+        total = _greene_float(field, 6, field.elem(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -438,8 +421,8 @@ def test_greene_total_rounds_like_the_typed_forms(f11, f13, f17, f31):
     fibres += [(field, 4, lam) for field in (f13, f17) for lam in valid_lambdas(field, 4)]
     fibres += [(field, 5, lam) for field in (f11, f31, f41) for lam in valid_lambdas(field, 5)]
     for field, degree, lam in fibres:
-        params = DworkParams(field, degree, lam)
-        total, reference = greene_total(params), _reference_greene_total(params)
+        total = _greene_float(field, degree, lam)
+        reference = _reference_greene_total(field, degree, lam)
         assert rounded(total) == rounded(reference)
         # a tenth of the rounding tolerance
         assert abs(total - reference) < 1e-4
@@ -478,12 +461,11 @@ def test_closed_form_rows_sum_their_orbits(f11, f13):
         sizes = {o.rep: o.size for o in enumerate_orbit_classes(degree, degree, (1,) * degree)}
         main = (field.q ** (degree - 1) - 1) // (field.q - 1)
         for lam in valid_lambdas(field, degree)[:3]:
-            params = DworkParams(field, degree, lam)
             diag = DiagonalParams(field, degree, (1,) * degree, lam)
             for row in CLOSED_FORMS[degree]:
                 label, coef = row[0], row[1]
                 assert coef % sizes[label] == 0
-                value = closed_form_term(params, row, coef // sizes[label])
+                value = closed_form_term(field, degree, lam, row, coef // sizes[label])
                 if label == (0,) * degree:
                     value += main
                 assert abs(class_contribution(diag, label) - value) < 1e-6 * field.q**degree
@@ -495,13 +477,12 @@ def test_closed_form_rows_sum_their_orbits(f11, f13):
 )
 def test_closed_form_terms_by_dlog_match_every_fibre(d, p, e):
     field = FqField(p, e)
-    fibres = [DworkParams(field, d, lam) for lam in valid_lambdas(field, d)]
     for row in CLOSED_FORMS[d]:
         values = closed_form_term_by_dlog(field, d, row, row[1])
         assert values.shape == (field.q1,)
-        for params in fibres:
-            single = closed_form_term(params, row, row[1])
-            assert abs(values[params.lam.exp] - single) < 1e-9 * abs(row[1]) * field.q ** row[2]
+        for lam in valid_lambdas(field, d):
+            single = closed_form_term(field, d, lam, row, row[1])
+            assert abs(values[lam.exp] - single) < 1e-9 * abs(row[1]) * field.q ** row[2]
 
 
 def test_closed_form_terms_by_dlog_guard(f11):
