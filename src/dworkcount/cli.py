@@ -10,6 +10,7 @@ fails (mismatched counts, rounding failure, or a failing identity).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -115,15 +116,14 @@ def run_count(field: FqField, degree: int, lam: FqElem, methods: list[str], tol:
             counts = field.plan(("brute", degree), lambda: dwork_counts_by_lambda(field, degree))
             report.counts[method] = int(counts[lam.id])
         else:
-            # accept or refuse on the float total; print the exact main term
-            # plus the rounded remainder, which stays exact above 2**53
-            main = main_term(field.q, degree)
+            # judge the remainder alone: above 2**53 the total's real part is
+            # already an integer.  Print the exact main term plus its rounding.
             remainder = complex(remainders(field, degree)[lam.exp])
             try:
-                _, residual = round_to_int(main + remainder, tol)
+                rounded, residual = round_to_int(remainder, tol)
             except RoundingFailure as exc:
                 raise RoundingFailure(f"{method}: {exc}") from None
-            report.counts[method] = main + round(remainder.real)
+            report.counts[method] = main_term(field.q, degree) + rounded
             report.residuals[method] = residual
         report.ms[method] = (time.perf_counter() - start) * 1000
     return report
@@ -178,7 +178,9 @@ def _add_count_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tolerance", type=float, default=1e-3)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(prog="dworkcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     count = sub.add_parser("count", help="count points for one or all parameters")

@@ -187,15 +187,25 @@ def _koblitz_terms(
     )
 
 
+def _gauss_numerator(field: FqField, d: int, h: tuple[int, ...], w, rows: dict, scale=1):
+    """scale * prod_i g(omega**(w_i t - h_i j)) over j = 0..q-2, indexed by -j
+    so that at_fibres reads it at x = (d lam)**(-d).  rows holds each factor
+    row under its (w_i, h_i), so the classes of one build share them."""
+    q1, t = field.q1, field.q1 // d
+    acc = np.full(q1, scale, dtype=np.complex128)
+    for wi, hi in zip(w, h):
+        if (wi, hi) not in rows:
+            rows[wi, hi] = field.gauss_table[(wi * t - hi * np.arange(q1)) % q1]
+        acc *= rows[wi, hi]
+    return acc
+
+
 def _gauss_ratio(field: FqField, d: int, h: tuple[int, ...], w) -> np.ndarray:
     """prod_i g(omega**(w_i t - h_i j)) / g(omega**(-d j)) over j = 0..q-2:
-    the lambda-free row of the Gauss average of the class of w, indexed by
-    -j so that at_fibres reads it at x = (d lam)**(-d)."""
-    q1, t = field.q1, field.q1 // d
-    j = -np.arange(q1, dtype=np.int64)
-    rows = (field.gauss_table[(wi * t + hi * j) % q1] for wi, hi in zip(w, h))
-    numerator = math.prod(rows, start=np.ones(q1, dtype=np.complex128))
-    return numerator / field.gauss_table[(d * j) % q1]
+    the lambda-free row of the Gauss average of the class of w.  The
+    denominator is the factor row of (w_i, h_i) = (0, d)."""
+    rows = {}
+    return _gauss_numerator(field, d, h, w, rows) / _gauss_numerator(field, d, (d,), (0,), rows)
 
 
 def _weil_sum(field: FqField, d: int, members) -> complex:
@@ -250,19 +260,21 @@ def koblitz_remainder_by_dlog(field: FqField, d: int, h: tuple[int, ...]) -> np.
 
     Per group of equal classes (_koblitz_terms), the non-zero Weil terms
     are lambda-free, and the Gauss averages of all classes are the weighted
-    sum of their ratio rows, read once by at_fibres.  Built once per field
-    and (d, h).
+    sum of their numerators, over their one shared denominator, read once
+    by at_fibres.  The numerators share their few distinct factor rows.
+    Built once per field and (d, h).
     """
     if d < 1 or field.q1 % d != 0:
         raise BadDegreeError(f"degree {d} does not divide q-1 = {field.q1}")
 
     def build():
         g = field.gauss_table[:: field.q1 // d]
-        weil = 0j
-        ratios = np.zeros(field.q1, dtype=np.complex128)
+        weil, rows = 0j, {}
+        numerators = np.zeros(field.q1, dtype=np.complex128)
         for rep, weight, members in _koblitz_terms(d, len(h), h):
             weil += weight * sum(_weil_term(field, g, v) for v in members)
-            ratios += weight * _gauss_ratio(field, d, h, rep)
-        return weil + at_fibres(field, d, ratios, -d * field.elem(d).exp)
+            numerators += _gauss_numerator(field, d, h, rep, rows, weight)
+        numerators /= _gauss_numerator(field, d, (d,), (0,), rows)
+        return weil + at_fibres(field, d, numerators, -d * field.elem(d).exp)
 
     return field.plan(("koblitz", d, h), build)

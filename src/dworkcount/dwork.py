@@ -36,8 +36,8 @@ from .field import FqElem, FqField
 from .hypergeometric import (
     GreeneParams,
     _cancel_common,
-    _greene_spectrum,
-    _mccarthy_spectrum,
+    _gauss_windows,
+    _greene_chi_spectrum,
     _mccarthy_values,
     _mccarthy_vector,
     greene_F,
@@ -149,8 +149,8 @@ def closed_form_term_by_dlog(field: FqField, d: int, row, coef: int) -> np.ndarr
 
 def _closed_forms_by_dlog(field: FqField, d: int, terms) -> np.ndarray:
     """The sum of closed_form_term over (row, coef) in terms, for every
-    lam != 0: the rows' hypergeometric spectra, on jacobi_base(field, d), are
-    summed in place and read once by at_fibres."""
+    lam != 0: the rows' spectra, products of slices of jacobi_base(field, d),
+    are summed in place and read once by at_fibres."""
     total, spectra = np.zeros((2, field.q1), dtype=np.complex128)
     for row, coef in terms:
         value, up, lo = _closed_form_row(field, d, row, coef)
@@ -158,7 +158,7 @@ def _closed_forms_by_dlog(field: FqField, d: int, terms) -> np.ndarray:
             lam_d = field.exp_table[d * np.arange(field.q1) % field.q1]
             total += value * char_vector(field, field.q1 // 2)[field.one_minus_table[lam_d]]
         else:
-            spectra += value * _greene_spectrum(field, up, lo, jacobi_base(field, d))
+            spectra += value * _greene_chi_spectrum(field, up, lo, jacobi_base(field, d))
     return total + at_fibres(field, d, spectra)
 
 
@@ -379,8 +379,9 @@ def miyatani_remainder_by_dlog(field: FqField) -> np.ndarray:
     every lam != 0: entry e is the value at lam = g**e, the locus lam**6 = 1
     included.  The sum of gamma(s) F(s) over the 6**4 kernel classes is one
     inverse DFT: per distinct sorted key, its multiplicity times gamma(s)
-    times the Gauss-sum coefficient row of F(s) with its (-1) twist, read at
-    x = 1/lam**6.  Built once per field, after the preflight passes."""
+    times the Gauss-sum coefficient row of F(s), with the (-1) twist applied
+    once to the sum over odd m, read at x = 1/lam**6.  Built once per field,
+    after the preflight passes."""
 
     def build():
         report = miyatani_preflight(field)
@@ -389,11 +390,21 @@ def miyatani_remainder_by_dlog(field: FqField) -> np.ndarray:
         _, index, keys = _kernel_table()
         multiplicity = Counter(index)
         gammas = gamma_s(field, [w for w, _ in keys])
-        spectrum = np.zeros(field.q1, dtype=np.complex128)
-        for i, (_, exps) in enumerate(keys):
-            row = _mccarthy_spectrum(field, *_absolute(field, exps))[0]
-            spectrum += multiplicity[i] * gammas[i] * row
+        t = field.q1 // 6
+        win, rev = _gauss_windows(field)
+        by_parity = np.zeros((2, field.q1), dtype=np.complex128)
+        for i, (_, (upper, lower)) in enumerate(keys):
+            factors = [win[a * t] for a in upper] + [rev[b * t] for b in lower]
+            # over the row's j = 0 column, the product of g(A_i) g(conj(B_i))
+            norm = math.prod(complex(f[0]) for f in factors)
+            acc = factors[0] * (multiplicity[i] * gammas[i] / norm)
+            for f in factors[1:]:
+                acc *= f
+            by_parity[len(upper) % 2] += acc
+        # chi(-1)**m: q is odd, so the twist is (-1)**j for odd m
+        even, odd = by_parity
+        odd[1::2] *= -1
         # the total subtracts sum gamma F, and F(x) = -ifft(row)[dlog x]
-        return at_fibres(field, 6, spectrum)
+        return at_fibres(field, 6, even + odd)
 
     return field.plan(("miyatani",), build)

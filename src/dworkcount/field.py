@@ -314,8 +314,11 @@ class FqField:
         # gives phase errors that grow with the trace and add up coherently
         # (2e-13 at q = 2017), enough to move a count near 2**44 off its
         # integer; rounded from long double the table is off by ~4e-15.
+        # psi takes p values: exp the lower half, conjugate for the upper.
         tau = 2 * np.arccos(np.longdouble(-1))
-        a = np.exp(1j * (tau / p) * self.trace_table[self.exp_table].astype(np.longdouble))
+        psi = np.exp(1j * (tau / p) * np.arange(p // 2 + 1, dtype=np.longdouble))
+        psi = np.concatenate((psi, psi[1 : p - p // 2][::-1].conj()))
+        a = psi[self.trace_table[self.exp_table]]
         self.gauss_table = (q1 * np.fft.ifft(a)).astype(np.complex128)
         # g(eps) sums psi over F_q*, that is -psi(0) = -1; the transform's
         # cancellation leaves an error that grows with q (4e-14 near 2**20)

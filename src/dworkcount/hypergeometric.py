@@ -180,6 +180,18 @@ def greene_F(params: GreeneParams) -> complex:
     return greene_F_chi_sum(params)
 
 
+def _gauss_windows(field: FqField) -> tuple[np.ndarray, np.ndarray]:
+    """Views win[a][j] = g(omega**(a + j)) and rev[b][j] = g(omega**(-b - j))
+    for j = 0..q-2 into the Gauss table, doubled once per field."""
+
+    def build():
+        g = np.concatenate((field.gauss_table,) * 2 + (field.gauss_table[:1],))
+        # g[2(q-1) - s] = g(omega**-s), so the reversed table gives rev
+        return [np.lib.stride_tricks.sliding_window_view(t, field.q1) for t in (g, g[::-1])]
+
+    return field.plan(("gauss-windows",), build)
+
+
 def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
     """Row r, entry j is prod_i [g(A_i omega**j)/g(A_i)][g(conj(B_i omega**j))/g(conj(B_i))]
     for j = 0..q-2, with A_i = omega**upper[r, i] and B_i = omega**lower[r, i]
@@ -187,13 +199,7 @@ def _mccarthy_coefficients(field: FqField, upper, lower) -> np.ndarray:
     normalization.  Each factor is a window of the Gauss table doubled once
     per field, read backwards for the lower parameters; column j = 0 is the
     product of the g(A_i), g(conj(B_i)) that divide."""
-
-    def windows():
-        g = np.concatenate((field.gauss_table,) * 2 + (field.gauss_table[:1],))
-        return [np.lib.stride_tricks.sliding_window_view(t, field.q1) for t in (g, g[::-1])]
-
-    # g[2(q-1) - s] = g(omega**-s), so rev[b][j] = g(omega**(-b - j))
-    win, rev = field.plan(("gauss-windows",), windows)
+    win, rev = _gauss_windows(field)
     acc = win[np.asarray(upper).T].prod(axis=0)
     acc *= rev[np.asarray(lower).T].prod(axis=0)
     return acc / acc[:, :1]
@@ -245,18 +251,24 @@ def mccarthy_F_by_dlog(upper, lower) -> np.ndarray:
     return _mccarthy_vector(field, [[a.k for a in upper]], [[b.k for b in lower]])[0]
 
 
-def _greene_spectrum(field: FqField, upper, lower, base=None) -> np.ndarray:
+def _greene_chi_spectrum(field: FqField, upper, lower, base=None) -> np.ndarray:
+    """q times the product of the rows _greene_chi_rows(..., base): s with
+    greene_F_chi_sum(x) = ifft(s)[dlog x] for every x != 0, which is
+    greene_F for every n (for n = 1 by Greene's Theorem 3.6)."""
+    rows = _greene_chi_rows(field, upper, lower, base)
+    acc = field.q * rows[0]
+    for row in rows[1:]:
+        acc *= row
+    return acc
+
+
+def _greene_spectrum(field: FqField, upper, lower) -> np.ndarray:
     """The lambda-free row s with greene_F(x) = ifft(s)[dlog x] for every
-    x != 0.  For n >= 2 it is q times the product of the character-sum rows
-    (_greene_chi_rows, with base); for n = 1 the average over y is a
+    x != 0, by greene_F's own branches: for n = 1 the average over y is a
     correlation over the cyclic group of dlogs, sum_a f(a) h(a+u) with
     f = A_1(y) (conj(A_1) B_1)(1-y) and h = conj(A_0)(1-z)."""
     if len(lower) >= 2:
-        rows = _greene_chi_rows(field, upper, lower, base)
-        acc = field.q * rows[0]
-        for row in rows[1:]:
-            acc *= row
-        return acc
+        return _greene_chi_spectrum(field, upper, lower)
     sign, v12, v3 = _greene_2f1_factors(field, upper[0].k, upper[1].k, lower[0].k)
     f = v12[field.exp_table]
     # sum_a f(a) h(a+u) is the convolution of f(-a) with h

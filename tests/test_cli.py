@@ -181,7 +181,7 @@ def test_refusal_names_the_route_and_a_plain_number(capsys):
         )
         assert code == 3
         assert out == ""
-        assert err.startswith(f"verification failure: {method}: value (98")
+        assert err.startswith(f"verification failure: {method}: value (-2113")
         assert "np." not in err and "complex128" not in err
 
 

@@ -8,6 +8,7 @@ from dworkcount.brute import deformed_diagonal_polynomial, projective_count
 from dworkcount.diagonal import (
     DiagonalParams,
     class_contribution,
+    class_contribution_by_dlog,
     class_gauss_average,
     class_gauss_average_by_dlog,
     class_members,
@@ -306,3 +307,17 @@ def test_koblitz_total_rounds_like_the_class_loop(f13):
             assert abs(total - reference) < 1e-4
             fibres += 1
     assert fibres == 54 + 6 + 2 + 2 + 4 + 9 + 32 + 25
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (37, 1)])
+@pytest.mark.parametrize("h", [(1,) * 6, (1, 2, 3), (1, 1, 1, 3)])
+def test_koblitz_remainder_is_the_sum_of_its_class_contributions(p, e, h):
+    # the route builds one numerator from shared factor rows and divides
+    # once; the oracle divides each class's ratio row on its own
+    field, d = FqField(p, e), sum(h)
+    classes = _shift_classes(d, len(h), h)
+    expected = sum(class_contribution_by_dlog(field, d, h, rep) for rep, _ in classes)
+    expected -= main_term(field.q, len(h))
+    # a few thousand ulps of the largest entry
+    tol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(koblitz_remainder_by_dlog(field, d, h), expected, rtol=0, atol=tol)

@@ -499,3 +499,15 @@ def test_miyatani_values_by_dlog_match_every_lambda(p, e):
         for lam in field.units():
             single = miyatani_F_s(field, w, lam)
             assert abs(values[(-6 * lam.exp) % field.q1] - single) < 1e-9, (w, lam)
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (37, 1)])
+def test_miyatani_remainder_is_the_kernel_sum(p, e):
+    # the route folds each key's normalization into one scalar and twists
+    # the odd-m sum once; the oracle reads every class's own F(s) row
+    field = FqField(p, e)
+    at = (-6 * np.arange(field.q1)) % field.q1  # x = 1/lam**6 at lam = g**e
+    expected = -sum(gamma_s(field, w) * miyatani_F_s_by_dlog(field, w)[at] for w in _fresh_kernel())
+    # a few thousand ulps of the largest entry
+    tol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(miyatani_remainder_by_dlog(field), expected, rtol=0, atol=tol)
